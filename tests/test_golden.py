@@ -1,0 +1,97 @@
+"""Golden-artifact guard: every CLI subcommand at a tiny pinned config must
+write byte-identical artifacts and exit with the pinned code, at one and at
+two worker threads.
+
+The SHA-256 of each artifact and the exit code live in
+`tests/golden/hashes.json`; `python tests/golden/make_hashes.py` rewrites
+that file.  A change that moves an artifact on purpose regenerates it and
+names the moved artifacts and the reason in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+
+import pytest
+
+from gnls.cli import main
+
+HASHES = os.path.join(os.path.dirname(__file__), "golden", "hashes.json")
+
+_LOW = {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 4}
+
+# one config per subcommand; the invariance ensemble exceeds the 1024-row
+# chunk so that two threads really split it, and its tiny horizon leaves the
+# negative control undetected, hence the pinned exit code 2
+CONFIGS = {
+    "sample": {"seed": 7, "ensemble": 40, "params": _LOW},
+    "evolve": {
+        "seed": 1,
+        "params": _LOW,
+        "flow": {"dt": 0.01, "t_final": 0.05, "store_every": 2},
+    },
+    "invariance": {
+        "seed": 0,
+        "ensemble": 1100,
+        "t_horizon": 0.05,
+        "params": {"d": 1, "alpha": 2.5, "beta": 0.2, "gamma": 1.0, "n_cut": 4},
+        "flow": {"dt": 0.01},
+    },
+    "moments": {
+        "seed": 4,
+        "params": {"d": 1, "alpha": 2.0, "beta": 1.0, "gamma": 1.0, "n_cut": 1},
+        "moments": {"samples": 2000},
+    },
+    "variational": {
+        "seed": 9,
+        "ensemble": 200,
+        "params": {"d": 1, "alpha": 2.0, "beta": 0.5, "gamma": -1.0, "n_cut": 4},
+        "variational": {
+            "k_mass": 3.0,
+            "l_ladder": [10.0, 100.0],
+            "n_ladder": [2, 4],
+            "dt_sde": 0.01,
+        },
+    },
+    "gauge-check": {
+        "seed": 11,
+        "params": _LOW,
+        "gauge": {"k": 2, "modes": 4, "trials": 3},
+    },
+    "truncation": {
+        "seed": 5,
+        "params": {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 16},
+        "flow": {"dt": 0.01, "t_final": 0.05},
+        "truncation": {"n_ladder": [4, 8], "n_ref": 16},
+    },
+}
+
+
+def run_subcommand(name: str, workdir: str) -> dict:
+    """Run one subcommand in `workdir`; return its exit code and the SHA-256
+    of every file it wrote, keyed by path relative to the output directory."""
+    out = os.path.join(workdir, "out")
+    cfg = os.path.join(workdir, "config.json")
+    with open(cfg, "w") as fh:
+        json.dump(dict(CONFIGS[name], experiment=name, out=out), fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([name, "--config", cfg])
+    artifacts = {}
+    for root, _, files in os.walk(out):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            artifacts[os.path.relpath(path, out).replace(os.sep, "/")] = digest
+    return {"exit_code": code, "artifacts": dict(sorted(artifacts.items()))}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_artifacts_match_golden_hashes(name, threads, tmp_path, monkeypatch):
+    with open(HASHES) as fh:
+        expected = json.load(fh)[name]
+    monkeypatch.setenv("GNLS_THREADS", threads)
+    assert run_subcommand(name, str(tmp_path)) == expected
