@@ -14,12 +14,13 @@ from gnls import (
     TorusGeometry,
     exp_moment_oracle,
     gibbs_ensemble,
-    mass,
-    potential,
+    mass_array,
+    potential_array,
     sample_gaussian,
+    sample_gaussian_coeffs,
     sigma,
 )
-from gnls.measures import mass_array, sample_gaussian_coeffs, weighted_mean_stderr
+from gnls.measures import weighted_mean_stderr
 from gnls.spectral import TWO_PI
 
 
@@ -30,8 +31,9 @@ def main():
 
     print("== one Gaussian sample ==")
     u = sample_gaussian(params, rng)
-    print(f"mass J(u)      = {mass(u):.4f}")
-    print(f"potential V(u) = {potential(u, params.beta):.4f}  (>= vol = {TWO_PI:.4f})")
+    print(f"mass J(u)      = {mass_array(geo, u.coeffs):.4f}")
+    v = potential_array(geo, u.coeffs, params.beta)
+    print(f"potential V(u) = {v:.4f}  (>= vol = {TWO_PI:.4f})")
 
     print("\n== pointwise variance and the moment pole ==")
     sig = params.sigma_n()

@@ -3,17 +3,17 @@ nonlinear Schrodinger equation on the flat torus."""
 
 from .spectral import (
     DivergentSeriesError,
-    GridField,
     SpectralField,
     TorusGeometry,
-    from_grid,
+    dispersion_weights,
+    from_grid_array,
     load_snapshot,
     project,
     save_snapshot,
     sigma,
     smooth_project,
-    sobolev_norm,
-    to_grid,
+    sobolev_norm_array,
+    to_grid_array,
     weyl_count,
 )
 from .measures import (
@@ -24,21 +24,23 @@ from .measures import (
     RngStream,
     exp_moment_oracle,
     gibbs_ensemble,
-    gibbs_weight,
-    hamiltonian,
-    mass,
-    potential,
+    gibbs_weight_array,
+    kinetic_sum_array,
+    mass_array,
+    potential_array,
     sample_gaussian,
+    sample_gaussian_coeffs,
     tail_fit,
 )
 from .dynamics import (
     FlowConfig,
     Trajectory,
+    collocation_phase_array,
     evolve,
-    linear_substep,
+    evolve_ensemble,
+    galerkin_substep_array,
+    linear_phase_array,
     liouville_check,
-    nonlinear_substep_collocation,
-    nonlinear_substep_galerkin,
     truncation_convergence,
 )
 from .gauge import (
@@ -70,7 +72,7 @@ from .harness import (
     ExperimentConfig,
     InvarianceReport,
     invariance_test,
-    observable_suite,
+    observable_matrix,
     run,
 )
 

@@ -55,7 +55,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> ExperimentConfig:
     if args.config:
-        raw = json.load(open(args.config))
+        with open(args.config) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
     else:
         if args.command != "gauge-check":
             raise ConfigError("--config is required for this subcommand")
@@ -117,7 +120,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError, bad JSON, bad encoding
         print(f"gnls: config error: {exc}", file=sys.stderr)
         return 1
     try:

@@ -35,10 +35,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import ModelParams, mass_array, potential_array
+from .measures import ModelParams, kinetic_sum_array, mass_array, potential_array
 from .spectral import (
     SpectralField,
     TorusGeometry,
+    dispersion_weights,
     from_grid_array,
     save_snapshot,
     sobolev_norm_array,
@@ -79,17 +80,6 @@ class FlowConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
 
 
-def dispersion_weights(
-    geometry: TorusGeometry, alpha: float, symbol: str
-) -> np.ndarray:
-    """Per-mode symbol w_n; the propagator rotates mode n by exp(-2i t w_n)."""
-    if symbol == "bracket":
-        return geometry.bracket(alpha)
-    if symbol == "pure":
-        return geometry.mode_abs2() ** (alpha / 2.0)
-    raise ValueError(f"unknown dispersion symbol {symbol!r}")
-
-
 @dataclass
 class Trajectory:
     """Time stamps, stored snapshots and per-step conservation diagnostics."""
@@ -98,8 +88,7 @@ class Trajectory:
     times: np.ndarray
     snapshots: list  # list[SpectralField], every store_every-th step
     snapshot_times: np.ndarray
-    diagnostics: dict  # name -> array over all macro steps
-    diag_times: np.ndarray
+    diagnostics: dict  # name -> array over all macro steps, stamped by times
 
     def final(self) -> SpectralField:
         return self.snapshots[-1]
@@ -110,15 +99,10 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def linear_phase_array(
-    geometry: TorusGeometry, coeffs: np.ndarray, t: float, omega: np.ndarray
-) -> np.ndarray:
+def linear_phase_array(coeffs: np.ndarray, t: float, omega: np.ndarray) -> np.ndarray:
+    """Exact linear flow: rotates mode n by exp(-2i t omega_n), with omega
+    from `dispersion_weights`."""
     return coeffs * np.exp(-2j * t * omega)
-
-
-def linear_substep(u: SpectralField, t: float, cfg: FlowConfig) -> SpectralField:
-    omega = dispersion_weights(u.geometry, cfg.params.alpha, cfg.dispersion_symbol)
-    return SpectralField(u.geometry, linear_phase_array(u.geometry, u.coeffs, t, omega))
 
 
 def collocation_phase_array(
@@ -144,14 +128,6 @@ def collocation_phase_array(
         freq = freq - 2.0 * params.gamma * params.beta * mean
     values = values * np.exp(-1j * t * freq)
     return from_grid_array(geometry, values)
-
-
-def nonlinear_substep_collocation(
-    u: SpectralField, t: float, params: ModelParams
-) -> SpectralField:
-    return SpectralField(
-        u.geometry, collocation_phase_array(u.geometry, u.coeffs, t, params)
-    )
 
 
 def galerkin_rhs_array(
@@ -183,16 +159,6 @@ def galerkin_substep_array(
     return a
 
 
-def nonlinear_substep_galerkin(
-    u: SpectralField, t: float, params: ModelParams, substeps: int = 1
-) -> SpectralField:
-    mask = u.geometry.euclid_mask(params.n_cut)
-    return SpectralField(
-        u.geometry,
-        galerkin_substep_array(u.geometry, u.coeffs, t, params, substeps, mask),
-    )
-
-
 def _macro_step(
     geometry: TorusGeometry,
     coeffs: np.ndarray,
@@ -211,10 +177,10 @@ def _macro_step(
         )
 
     if cfg.scheme == "strang":
-        a = linear_phase_array(geometry, coeffs, 0.5 * dt, omega)
+        a = linear_phase_array(coeffs, 0.5 * dt, omega)
         a = nonlinear(a, dt)
-        return linear_phase_array(geometry, a, 0.5 * dt, omega)
-    a = linear_phase_array(geometry, coeffs, dt, omega)
+        return linear_phase_array(a, 0.5 * dt, omega)
+    a = linear_phase_array(coeffs, dt, omega)
     return nonlinear(a, dt)
 
 
@@ -230,10 +196,9 @@ def _diagnostics(
     mask = geometry.euclid_mask(p.n_cut)
     out = {"mass": float(mass_array(geometry, coeffs))}
     v = float(potential_array(geometry, coeffs * mask, p.beta))
-    omega = dispersion_weights(geometry, p.alpha, cfg.dispersion_symbol)
     # the conserved energy of the flow (= the measure exponent), carrying the
-    # full quadratic sum rather than the half of measures.hamiltonian
-    kin = float(np.sum(omega * np.abs(coeffs) ** 2))
+    # full quadratic sum rather than the half of the invariance observable
+    kin = float(kinetic_sum_array(geometry, coeffs, p.alpha, cfg.dispersion_symbol))
     out["potential"] = v
     out["hamiltonian"] = kin + p.gamma * v
     for s in cfg.s_norms:
@@ -269,14 +234,7 @@ def evolve(
     diag_arrays = {
         name: np.array([d[name] for d in diags]) for name in diags[0]
     }
-    return Trajectory(
-        geometry,
-        np.array(times),
-        snaps,
-        np.array(snap_times),
-        diag_arrays,
-        np.array(times),
-    )
+    return Trajectory(geometry, np.array(times), snaps, np.array(snap_times), diag_arrays)
 
 
 def evolve_ensemble(
@@ -412,7 +370,7 @@ def trajectory_to_csv(traj: Trajectory, path, snapshot_dir=None) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + ordered)
-        for i, t in enumerate(traj.diag_times):
+        for i, t in enumerate(traj.times):
             writer.writerow(
                 [f"{t:.17g}"] + [f"{traj.diagnostics[n][i]:.17g}" for n in ordered]
             )

@@ -56,9 +56,7 @@ def run_sample(config: ExperimentConfig) -> RunResult:
 def run_evolve(config: ExperimentConfig) -> RunResult:
     rng = RngStream(config.seed)
     u0 = sample_gaussian(config.params, rng)
-    cfg = config.flow_config()
-    mode = config.mode if config.mode in ("galerkin", "collocation") else "galerkin"
-    traj = evolve(u0, cfg, mode=mode)
+    traj = evolve(u0, config.flow_config(), mode=config.mode)
     csv_path = os.path.join(config.out, "trajectory.csv")
     snap_dir = os.path.join(config.out, "snapshots")
     trajectory_to_csv(traj, csv_path, snapshot_dir=snap_dir)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .dynamics import FlowConfig, Trajectory, evolve
 from .measures import ModelParams
-from .spectral import GridField, SpectralField, TWO_PI, to_grid_array
+from .spectral import SpectralField, TWO_PI, to_grid_array
 
 ENUMERATION_BUDGET = 10**8
 _CHUNK = 1 << 21
@@ -103,8 +103,6 @@ def mean_functional(f) -> complex:
     """A[f] = (1/2pi) int f dx, the zeroth standard Fourier coefficient."""
     if isinstance(f, CoeffSequence):
         return f.get(0)
-    if isinstance(f, GridField):
-        return complex(np.mean(f.values))
     if isinstance(f, SpectralField):
         if f.geometry.d != 1:
             raise ValueError("mean functional is d=1 only")
@@ -120,24 +118,15 @@ def gauge_value_grid(absq: np.ndarray, params: ModelParams, axes=None) -> np.nda
     return 2.0 * params.gamma * b * mean
 
 
-def gauge_value(u, params: ModelParams) -> float:
+def gauge_value(u: SpectralField, params: ModelParams) -> float:
     """Closed-form gauge frequency G(u) = 2 gamma beta A[(1+beta|u|^2)e^{beta|u|^2}]."""
-    if isinstance(u, SpectralField):
-        values = to_grid_array(u.geometry, u.coeffs)
-    elif isinstance(u, GridField):
-        values = u.values
-    else:
-        raise TypeError("gauge_value expects a SpectralField or GridField")
+    values = to_grid_array(u.geometry, u.coeffs)
     return float(gauge_value_grid(np.abs(values) ** 2, params))
 
 
-def gauge_value_series(u, params: ModelParams, terms: int = 50) -> float:
+def gauge_value_series(u: SpectralField, params: ModelParams, terms: int = 50) -> float:
     """Series oracle 2 gamma beta sum_k (beta^k / k!) (k+1) A[|u|^{2k}]."""
-    if isinstance(u, SpectralField):
-        values = to_grid_array(u.geometry, u.coeffs)
-    else:
-        values = u.values
-    absq = np.abs(values) ** 2
+    absq = np.abs(to_grid_array(u.geometry, u.coeffs)) ** 2
     total = 0.0
     term = np.ones_like(absq)  # beta^k |u|^{2k} / k!
     for k in range(terms):
@@ -209,7 +198,6 @@ def apply_gauge(
         snaps,
         traj.snapshot_times,
         {k: v.copy() for k, v in traj.diagnostics.items()},
-        traj.diag_times,
     )
 
 

@@ -19,17 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import FlowConfig, dispersion_weights, evolve_ensemble
+from .dynamics import MODES, FlowConfig, evolve_ensemble
 from .measures import (
     ModelParams,
     RngStream,
     gibbs_weight_array,
+    kinetic_sum_array,
     mass_array,
     potential_array,
     sample_gaussian_coeffs,
     weighted_mean_stderr,
 )
-from .spectral import TorusGeometry, SpectralField, sobolev_norm_array
+from .spectral import TorusGeometry, sobolev_norm_array
 
 EXPERIMENT_KINDS = (
     "sample",
@@ -58,13 +59,6 @@ def thread_count(requested: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def observable_names(s_norms=(0.5,), mode_powers=(0, 1, 2)) -> list:
-    names = ["mass", "hamiltonian", "potential"]
-    names += [f"h{s}_norm" for s in s_norms]
-    names += [f"mode_power_{n}" for n in mode_powers]
-    return names
-
-
 def observable_matrix(
     geometry: TorusGeometry,
     coeffs: np.ndarray,
@@ -75,12 +69,10 @@ def observable_matrix(
 ) -> dict:
     """Batched observable vector; coeffs shape (m, *box)."""
     mask = geometry.euclid_mask(params.n_cut)
-    axes = tuple(range(-geometry.d, 0))
     v = potential_array(geometry, coeffs * mask, params.beta)
-    omega = dispersion_weights(geometry, params.alpha, symbol)
     # the half-normalized energy observable; not conserved pathwise, so it
     # carries real invariance information (unlike the flow energy)
-    kin = 0.5 * np.sum(omega * np.abs(coeffs) ** 2, axis=axes)
+    kin = 0.5 * kinetic_sum_array(geometry, coeffs, params.alpha, symbol)
     out = {
         "mass": mass_array(geometry, coeffs),
         "hamiltonian": kin + params.gamma * v,
@@ -95,16 +87,6 @@ def observable_matrix(
         else:
             out[f"mode_power_{n}"] = np.abs(coeffs[..., center + n, center]) ** 2
     return out
-
-
-def observable_suite(
-    u: SpectralField, params: ModelParams, symbol: str = "bracket",
-    s_norms=(0.5,), mode_powers=(0, 1, 2),
-) -> dict:
-    mat = observable_matrix(
-        u.geometry, u.coeffs[None], params, symbol, s_norms, mode_powers
-    )
-    return {k: float(v[0]) for k, v in mat.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +238,16 @@ _SCHEMA = {
     "moments": dict,
 }
 
-_PARAMS_KEYS = {"d", "alpha", "beta", "gamma", "n_cut", "n_max", "oversampling"}
-_FLOW_KEYS = {"dt", "t_final", "nonlinear_substeps", "dispersion_symbol", "scheme", "store_every"}
+# the keys each nested block accepts
+_BLOCK_KEYS = {
+    "params": {"d", "alpha", "beta", "gamma", "n_cut", "n_max", "oversampling"},
+    "flow": {"dt", "t_final", "nonlinear_substeps", "dispersion_symbol", "scheme", "store_every"},
+    "observables": {"s_norms", "mode_powers"},
+    "moments": {"pbeta_sigma", "samples"},
+    "gauge": {"k", "modes", "trials", "tolerance"},
+    "truncation": {"n_ladder", "n_ref", "s", "u0_bandwidth"},
+    "variational": {"l_ladder", "k_mass", "gamma_sign", "n_ladder", "eta", "dt_sde", "l_clip"},
+}
 
 
 class ConfigError(ValueError):
@@ -291,14 +281,19 @@ class ExperimentConfig:
             )
         if "params" not in raw:
             raise ConfigError("missing required key 'params'")
+        for block, keys in _BLOCK_KEYS.items():
+            entries = raw.get(block, {})
+            if not isinstance(entries, dict):
+                raise ConfigError(f"{block!r} must be a JSON object")
+            unknown = set(entries) - keys
+            if unknown:
+                raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
+        # an absent mode means the sampler's default, or galerkin for a flow
+        mode = str(raw.get("mode", "galerkin" if kind == "evolve" else "importance"))
+        if kind == "evolve" and mode not in MODES:
+            raise ConfigError(f"unknown evolve mode {mode!r}; expected one of {MODES}")
         p = dict(raw["params"])
-        unknown = set(p) - _PARAMS_KEYS
-        if unknown:
-            raise ConfigError(f"unknown params keys: {sorted(unknown)}")
         flow = dict(raw.get("flow", {}))
-        unknown = set(flow) - _FLOW_KEYS
-        if unknown:
-            raise ConfigError(f"unknown flow keys: {sorted(unknown)}")
         try:
             n_cut = int(p["n_cut"])
             geometry = TorusGeometry(
@@ -330,18 +325,9 @@ class ExperimentConfig:
             flow=flow,
             ensemble=int(raw.get("ensemble", 1000)),
             t_horizon=float(raw.get("t_horizon", 1.0)),
-            mode=str(raw.get("mode", "importance")),
+            mode=mode,
             extra=extra,
         )
-
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(raw)
 
     def flow_config(self) -> FlowConfig:
         return FlowConfig(
@@ -356,10 +342,7 @@ class ExperimentConfig:
 
     def observable_spec(self) -> dict:
         """Observable selection: {"s_norms": [...], "mode_powers": [...]}."""
-        spec = dict(self.extra.get("observables", {}))
-        unknown = set(spec) - {"s_norms", "mode_powers"}
-        if unknown:
-            raise ConfigError(f"unknown observables keys: {sorted(unknown)}")
+        spec = self.extra.get("observables", {})
         return {
             "s_norms": tuple(spec.get("s_norms", (0.5,))),
             "mode_powers": tuple(spec.get("mode_powers", (0, 1, 2))),

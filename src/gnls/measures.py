@@ -19,6 +19,7 @@ import numpy as np
 from .spectral import (
     SpectralField,
     TorusGeometry,
+    dispersion_weights,
     sigma,
     sobolev_norm_array,
     to_grid_array,
@@ -87,12 +88,6 @@ class EnsembleReport:
     ensemble_size: int
     max_weight_fraction: float
 
-    def estimate(self, name: str) -> float:
-        return self.observables[name][0]
-
-    def stderr(self, name: str) -> float:
-        return self.observables[name][1]
-
 
 def weighted_mean_stderr(values: np.ndarray, weights: np.ndarray | None):
     """Self-normalized importance estimate with linearized standard error.
@@ -156,12 +151,8 @@ def sample_gaussian(params: ModelParams, rng: RngStream) -> SpectralField:
 # ---------------------------------------------------------------------------
 
 
-def mass(u: SpectralField) -> float:
-    """J(u) = (1/2) int |u|^2 dx = (1/2) sum |a_n|^2."""
-    return 0.5 * float(np.sum(np.abs(u.coeffs) ** 2))
-
-
 def mass_array(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
+    """J(u) = (1/2) int |u|^2 dx = (1/2) sum |a_n|^2."""
     axes = tuple(range(-geometry.d, 0))
     return 0.5 * np.sum(np.abs(coeffs) ** 2, axis=axes)
 
@@ -183,38 +174,19 @@ def potential_array(
     return v
 
 
-def potential(u: SpectralField, beta: float, clip: float | None = None) -> float:
-    return float(potential_array(u.geometry, u.coeffs, beta, clip))
-
-
-def kinetic_energy(u: SpectralField, alpha: float, symbol: str = "bracket") -> float:
-    """(1/2) sum w_n |a_n|^2 with w_n = <n>^alpha or |n|^alpha."""
-    geo = u.geometry
-    if symbol == "bracket":
-        w = geo.bracket(alpha)
-    elif symbol == "pure":
-        w = geo.mode_abs2() ** (alpha / 2.0)
-    else:
-        raise ValueError(f"unknown dispersion symbol {symbol!r}")
-    return 0.5 * float(np.sum(w * np.abs(u.coeffs) ** 2))
-
-
-def hamiltonian(u: SpectralField, params: ModelParams, symbol: str = "bracket") -> float:
-    """H(u) = (1/2) ||<grad>^{alpha/2} u||^2 + gamma V_beta(u)."""
-    return kinetic_energy(u, params.alpha, symbol) + params.gamma * potential(
-        u, params.beta
-    )
-
-
-def gibbs_weight(u: SpectralField, params: ModelParams) -> float:
-    """Density factor exp(-gamma V_beta(Pi_N u)) against the Gaussian measure."""
-    from .spectral import project
-
-    v = potential(project(u, params.n_cut), params.beta)
-    return math.exp(-params.gamma * v)
+def kinetic_sum_array(
+    geometry: TorusGeometry, coeffs: np.ndarray, alpha: float, symbol: str = "bracket"
+) -> np.ndarray:
+    """The full-weight quadratic energy sum_n w_n |a_n|^2 over
+    `dispersion_weights`; the flow conserves it plus gamma V_beta, and
+    half of it is the kinetic part of the `hamiltonian` observable."""
+    w = dispersion_weights(geometry, alpha, symbol)
+    axes = tuple(range(-geometry.d, 0))
+    return np.sum(w * np.abs(coeffs) ** 2, axis=axes)
 
 
 def gibbs_weight_array(params: ModelParams, coeffs: np.ndarray, beta: float | None = None) -> np.ndarray:
+    """Density factor exp(-gamma V_beta(Pi_N u)) against the Gaussian measure."""
     geo = params.geometry
     mask = geo.euclid_mask(params.n_cut)
     b = params.beta if beta is None else beta
@@ -393,10 +365,7 @@ def ensemble_rows(
     masked = coeffs * geo.euclid_mask(p.n_cut)
     j = mass_array(geo, coeffs)
     v = potential_array(geo, masked, p.beta)
-    kin_w = geo.bracket(p.alpha)
-    axes = tuple(range(-geo.d, 0))
-    kin = 0.5 * np.sum(kin_w * np.abs(coeffs) ** 2, axis=axes)
-    h = kin + p.gamma * v
+    h = 0.5 * kinetic_sum_array(geo, coeffs, p.alpha) + p.gamma * v
     hs = sobolev_norm_array(geo, coeffs, s_norm)
     w = ensemble.weights if ensemble.weights is not None else np.ones(len(j))
     header = ["sample_id", "weight", "mass", "potential", "hamiltonian", "hs_norm"]

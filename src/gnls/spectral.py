@@ -142,19 +142,6 @@ class SpectralField:
         return float(np.linalg.norm(self.coeffs))
 
 
-@dataclass
-class GridField:
-    """Complex values on the uniform collocation grid."""
-
-    geometry: TorusGeometry
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.geometry.grid_shape:
-            raise ValueError("value shape does not match geometry grid")
-
-
 # ---------------------------------------------------------------------------
 # transforms (array kernels broadcast over leading batch axes)
 # ---------------------------------------------------------------------------
@@ -204,14 +191,6 @@ def from_grid_array(
     return coeffs
 
 
-def to_grid(u: SpectralField) -> GridField:
-    return GridField(u.geometry, to_grid_array(u.geometry, u.coeffs))
-
-
-def from_grid(g: GridField, n_cut: int | None = None) -> SpectralField:
-    return SpectralField(g.geometry, from_grid_array(g.geometry, g.values, n_cut))
-
-
 # ---------------------------------------------------------------------------
 # projectors and norms
 # ---------------------------------------------------------------------------
@@ -250,18 +229,24 @@ def smooth_project(u: SpectralField, n_cut: float, profile=None) -> SpectralFiel
     return SpectralField(u.geometry, u.coeffs * profile(r))
 
 
-def sobolev_norm(u: SpectralField, s: float) -> float:
-    """H^s norm: (sum <n>^{2s} |a_n|^2)^(1/2)."""
-    w = u.geometry.bracket(2.0 * s)
-    return float(np.sqrt(np.sum(w * np.abs(u.coeffs) ** 2)))
-
-
 def sobolev_norm_array(
     geometry: TorusGeometry, coeffs: np.ndarray, s: float
 ) -> np.ndarray:
+    """H^s norm: (sum <n>^{2s} |a_n|^2)^(1/2)."""
     w = geometry.bracket(2.0 * s)
     axes = tuple(range(-geometry.d, 0))
     return np.sqrt(np.sum(w * np.abs(coeffs) ** 2, axis=axes))
+
+
+def dispersion_weights(
+    geometry: TorusGeometry, alpha: float, symbol: str
+) -> np.ndarray:
+    """Per-mode symbol w_n: <n>^alpha ('bracket') or |n|^alpha ('pure')."""
+    if symbol == "bracket":
+        return geometry.bracket(alpha)
+    if symbol == "pure":
+        return geometry.mode_abs2() ** (alpha / 2.0)
+    raise ValueError(f"unknown dispersion symbol {symbol!r}")
 
 
 # ---------------------------------------------------------------------------

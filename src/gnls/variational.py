@@ -21,6 +21,7 @@ import numpy as np
 from .measures import (
     ModelParams,
     RngStream,
+    kinetic_sum_array,
     potential_array,
     sample_gaussian_coeffs,
     weighted_mean_stderr,
@@ -29,7 +30,7 @@ from .spectral import (
     SpectralField,
     TorusGeometry,
     TWO_PI,
-    sobolev_norm,
+    sobolev_norm_array,
     to_grid_array,
 )
 
@@ -98,7 +99,7 @@ def bump_norm_scan(
         values = to_grid_array(geo, bump.field.coeffs)
         sup.append(float(np.max(np.abs(values.real))))
         for s in s_list:
-            sob[s].append(sobolev_norm(bump.field, s))
+            sob[s].append(float(sobolev_norm_array(geo, bump.field.coeffs, s)))
         x = geo.x
         dist = np.abs((x - x0 + math.pi) % TWO_PI - math.pi)
         nearby = dist <= 0.1 / n
@@ -290,14 +291,13 @@ def drift_cost(path: DriftPath, config: VariationalConfig) -> float:
     """
     params = config.params
     geo = params.geometry
-    w = geo.bracket(params.alpha)
     active = np.abs(geo.modes) <= params.n_cut
-    w_active = w[active]
+    w_active = geo.bracket(params.alpha)[active]
     dt = float(path.times[1] - path.times[0])
     dz = np.diff(path.z_path, axis=0) / dt
     cost_z = 0.5 * dt * float(np.sum(w_active * np.abs(dz) ** 2))
     f = bump_coeffs(geo, params.n_cut, config.x0)
-    cost_f = 0.5 * config.eta**2 * float(np.sum(w * np.abs(f) ** 2))
+    cost_f = 0.5 * config.eta**2 * float(kinetic_sum_array(geo, f, params.alpha))
     return cost_z + cost_f
 
 
@@ -368,8 +368,7 @@ def objective_estimate(config: VariationalConfig, rng: RngStream) -> ObjectiveRe
     v = potential_array(geo, shifted, params.beta, clip=config.l_clip)
     norms = np.sqrt(np.sum(np.abs(shifted) ** 2, axis=1))
     indicator = norms <= config.k_mass
-    w_alpha = geo.bracket(params.alpha)
-    cost_f = 0.5 * config.eta**2 * float(np.sum(w_alpha * np.abs(f) ** 2))
+    cost_f = 0.5 * config.eta**2 * float(kinetic_sum_array(geo, f, params.alpha))
     cost = 0.5 * cost_z + cost_f
     values = params.gamma * v * indicator + cost
     est, se, _ = weighted_mean_stderr(values, None)

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 from gnls.cli import main
 
@@ -138,3 +140,49 @@ class TestCli:
         assert main(["sample", "--config", cfg, "--dry-run", "--threads", "7"]) == 0
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["threads"] == 2
+
+    def test_config_file_is_closed(self, tmp_path, capsys):
+        cfg = sample_config(tmp_path, out=str(tmp_path / "nothing"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sample", "--config", cfg, "--dry-run"]) == 0
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
+
+    def test_non_object_config_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, [1, 2])
+        assert main(["sample", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "JSON object" in err
+
+    def test_undecodable_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'\xff\xfe{"experiment": "sample"}')
+        assert main(["sample", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_unknown_evolve_mode_exits_one(self, tmp_path, capsys):
+        raw = {
+            "experiment": "evolve",
+            "mode": "colocation",
+            "out": str(tmp_path / "out"),
+            "params": {"alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 4},
+            "flow": {"dt": 1e-2, "t_final": 0.02},
+        }
+        assert main(["evolve", "--config", write_config(tmp_path, raw)]) == 1
+        assert "colocation" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+
+    def test_unknown_nested_keys_exit_one(self, tmp_path, capsys):
+        blocks = {
+            "moments": {"samplez": 100},
+            "gauge": {"trails": 3},
+            "truncation": {"nref": 16},
+            "variational": {"kmass": 3.0},
+        }
+        for block, entry in blocks.items():
+            cfg = sample_config(tmp_path, **{block: entry})
+            assert main(["sample", "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert "config error" in err and next(iter(entry)) in err

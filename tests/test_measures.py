@@ -11,19 +11,16 @@ from gnls import (
     TorusGeometry,
     exp_moment_oracle,
     gibbs_ensemble,
-    gibbs_weight,
-    hamiltonian,
-    mass,
-    potential,
+    gibbs_weight_array,
+    kinetic_sum_array,
+    mass_array,
+    potential_array,
     sample_gaussian,
+    sample_gaussian_coeffs,
     sigma,
     tail_fit,
 )
-from gnls.measures import (
-    mass_array,
-    sample_gaussian_coeffs,
-    weighted_mean_stderr,
-)
+from gnls.measures import weighted_mean_stderr
 from gnls.spectral import TWO_PI
 
 
@@ -75,12 +72,15 @@ class TestSampling:
 class TestObservables:
     def test_potential_of_zero(self):
         geo = TorusGeometry(d=1, n_max=4)
-        assert potential(SpectralField.zero(geo), 1.0) == pytest.approx(TWO_PI)
+        zero = SpectralField.zero(geo)
+        assert potential_array(geo, zero.coeffs, 1.0) == pytest.approx(TWO_PI)
 
     def test_potential_constant_one(self):
         geo = TorusGeometry(d=1, n_max=4)
         one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
-        assert potential(one, 1.0) == pytest.approx(TWO_PI * math.e, rel=1e-12)
+        assert potential_array(geo, one.coeffs, 1.0) == pytest.approx(
+            TWO_PI * math.e, rel=1e-12
+        )
 
     def test_potential_single_oscillation(self):
         # |phi_1|^2 = 1/(2pi) pointwise
@@ -88,39 +88,56 @@ class TestObservables:
         u = SpectralField.from_modes(geo, {1: 1.0})
         for beta in (0.3, 1.0, 2.5):
             expected = TWO_PI * math.exp(beta / TWO_PI)
-            assert potential(u, beta) == pytest.approx(expected, rel=1e-12)
+            assert potential_array(geo, u.coeffs, beta) == pytest.approx(
+                expected, rel=1e-12
+            )
 
     def test_potential_clip(self):
         geo = TorusGeometry(d=1, n_max=4)
         one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
-        assert potential(one, 1.0, clip=7.0) == pytest.approx(7.0)
+        assert potential_array(geo, one.coeffs, 1.0, clip=7.0) == pytest.approx(7.0)
 
     def test_mass_values_and_scaling(self):
         geo = TorusGeometry(d=1, n_max=4)
         one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
-        assert mass(one) == pytest.approx(math.pi)
+        assert mass_array(geo, one.coeffs) == pytest.approx(math.pi)
         u = SpectralField.from_modes(geo, {0: 1.0})
-        assert mass(u) == pytest.approx(0.5)
+        assert mass_array(geo, u.coeffs) == pytest.approx(0.5)
         c = 1.7 - 0.3j
-        scaled = SpectralField(geo, c * u.coeffs)
-        assert mass(scaled) == pytest.approx(abs(c) ** 2 * mass(u))
+        scaled = c * u.coeffs
+        assert mass_array(geo, scaled) == pytest.approx(
+            abs(c) ** 2 * mass_array(geo, u.coeffs)
+        )
 
     def test_hamiltonian_single_mode(self):
         p = make_params(alpha=2.0, beta=1.0, gamma=1.0, n_cut=4)
         u = SpectralField.from_modes(p.geometry, {1: 1.0})
         expected = 1.0 + TWO_PI * math.exp(1.0 / TWO_PI)
-        assert hamiltonian(u, p) == pytest.approx(expected, rel=1e-12)
+        # the half-weight energy of the invariance observable
+        h = 0.5 * kinetic_sum_array(p.geometry, u.coeffs, p.alpha) + p.gamma * potential_array(
+            p.geometry, u.coeffs, p.beta
+        )
+        assert h == pytest.approx(expected, rel=1e-12)
+
+    def test_kinetic_sum_full_weight(self):
+        # w_n = <n>^2 = 1 + n^2 (bracket) or |n|^2 (pure), no factor 1/2
+        geo = TorusGeometry(d=1, n_max=4)
+        u = SpectralField.from_modes(geo, {1: 1.0, -2: 0.5j})
+        assert kinetic_sum_array(geo, u.coeffs, 2.0) == pytest.approx(2.0 + 5.0 * 0.25)
+        assert kinetic_sum_array(geo, u.coeffs, 2.0, "pure") == pytest.approx(1.0 + 4.0 * 0.25)
+        batch = np.stack([u.coeffs, 2.0 * u.coeffs])
+        assert np.allclose(kinetic_sum_array(geo, batch, 2.0), [3.25, 13.0])
 
     def test_gibbs_weight_bound_and_limits(self):
         p = make_params(beta=0.5, gamma=2.0)
         u = sample_gaussian(p, RngStream(3))
-        w = gibbs_weight(u, p)
+        w = gibbs_weight_array(p, u.coeffs)
         assert 0 < w <= math.exp(-p.gamma * TWO_PI)
         p0 = make_params(beta=0.5, gamma=0.0)
-        assert gibbs_weight(u, p0) == 1.0
+        assert gibbs_weight_array(p0, u.coeffs) == 1.0
         z = SpectralField.zero(p.geometry)
         p1 = make_params(beta=1.0, gamma=1.0)
-        assert gibbs_weight(z, p1) == pytest.approx(math.exp(-TWO_PI), rel=1e-12)
+        assert gibbs_weight_array(p1, z.coeffs) == pytest.approx(math.exp(-TWO_PI), rel=1e-12)
 
 
 class TestGibbsEnsemble:
