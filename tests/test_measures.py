@@ -114,9 +114,8 @@ class TestObservables:
         u = SpectralField.from_modes(p.geometry, {1: 1.0})
         expected = 1.0 + TWO_PI * math.exp(1.0 / TWO_PI)
         # the half-weight energy of the invariance observable
-        h = 0.5 * kinetic_sum_array(p.geometry, u.coeffs, p.alpha) + p.gamma * potential_array(
-            p.geometry, u.coeffs, p.beta
-        )
+        kin = kinetic_sum_array(p.geometry, u.coeffs, p.alpha)
+        h = 0.5 * kin + p.gamma * potential_array(p.geometry, u.coeffs, p.beta)
         assert h == pytest.approx(expected, rel=1e-12)
 
     def test_kinetic_sum_full_weight(self):
