@@ -10,7 +10,16 @@ import argparse
 import json
 import sys
 
+from .dynamics import MODES, SYMBOLS
 from .harness import ConfigError, ExperimentConfig, run
+
+
+def int_list(text: str) -> list:
+    return [int(x) for x in text.split(",")]
+
+
+def float_list(text: str) -> list:
+    return [float(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,16 +40,16 @@ def build_parser() -> argparse.ArgumentParser:
     va.add_argument("--gamma", type=float, default=None, help="interaction sign/strength")
     va.add_argument("--K", type=float, default=None, dest="k_mass", help="mass cutoff")
     va.add_argument("--eta", type=float, default=None, help="bump amplitude")
-    va.add_argument("--N-ladder", default=None, dest="n_ladder",
+    va.add_argument("--N-ladder", type=int_list, default=None, dest="n_ladder",
                     help="comma-separated cutoffs for the drifted-objective scan")
-    va.add_argument("--L-ladder", default=None, dest="l_ladder",
+    va.add_argument("--L-ladder", type=float_list, default=None, dest="l_ladder",
                     help="comma-separated potential clips")
     va.add_argument("--ensemble", type=int, default=None)
     va.add_argument("--dt-sde", type=float, default=None, dest="dt_sde")
 
     ev = sub.add_parser("evolve", parents=[common])
-    ev.add_argument("--mode", choices=["galerkin", "collocation"], default=None)
-    ev.add_argument("--symbol", choices=["bracket", "pure"], default=None)
+    ev.add_argument("--mode", choices=MODES, default=None)
+    ev.add_argument("--symbol", choices=SYMBOLS, default=None)
     ev.add_argument("--dt", type=float, default=None)
     ev.add_argument("--t-final", type=float, default=None)
     ev.add_argument("--oversample", type=float, default=None)
@@ -51,6 +60,20 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--trials", type=int, default=None)
     gc.add_argument("--tolerance", type=float, default=None)
     return parser
+
+
+# argparse dest -> (block, key) of the config value the flag overrides; block
+# None is the top level
+OVERRIDES = {
+    **{dest: (None, dest) for dest in ("seed", "threads", "out", "ensemble", "mode")},
+    "dt": ("flow", "dt"),
+    "t_final": ("flow", "t_final"),
+    "symbol": ("flow", "dispersion_symbol"),
+    "oversample": ("params", "oversampling"),
+    **{dest: ("gauge", dest) for dest in ("k", "modes", "trials", "tolerance")},
+    "gamma": ("variational", "gamma_sign"),
+    **{dest: ("variational", dest) for dest in ("k_mass", "eta", "dt_sde", "n_ladder", "l_ladder")},
+}
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -72,47 +95,12 @@ def _load_config(args) -> ExperimentConfig:
             f"config experiment {raw['experiment']!r} does not match "
             f"subcommand {args.command!r}"
         )
-    # flag overrides
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    if args.out is not None:
-        raw["out"] = args.out
-    if args.command == "evolve":
-        flow = raw.setdefault("flow", {})
-        if args.dt is not None:
-            flow["dt"] = args.dt
-        if args.t_final is not None:
-            flow["t_final"] = args.t_final
-        if args.symbol is not None:
-            flow["dispersion_symbol"] = args.symbol
-        if args.mode is not None:
-            raw["mode"] = args.mode
-        if args.oversample is not None:
-            raw.setdefault("params", {})["oversampling"] = args.oversample
-    if args.command == "gauge-check":
-        gauge = raw.setdefault("gauge", {})
-        for key in ("k", "modes", "trials", "tolerance"):
-            value = getattr(args, key)
-            if value is not None:
-                gauge[key] = value
-    if args.command == "variational":
-        var = raw.setdefault("variational", {})
-        if args.gamma is not None:
-            var["gamma_sign"] = args.gamma
-        if args.k_mass is not None:
-            var["k_mass"] = args.k_mass
-        if args.eta is not None:
-            var["eta"] = args.eta
-        if args.dt_sde is not None:
-            var["dt_sde"] = args.dt_sde
-        if args.n_ladder is not None:
-            var["n_ladder"] = [int(x) for x in args.n_ladder.split(",")]
-        if args.l_ladder is not None:
-            var["l_ladder"] = [float(x) for x in args.l_ladder.split(",")]
-        if args.ensemble is not None:
-            raw["ensemble"] = args.ensemble
+    for dest, (block, key) in OVERRIDES.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            target = raw if block is None else raw.setdefault(block, {})
+            if isinstance(target, dict):  # else the parser rejects the block
+                target[key] = value
     return ExperimentConfig.from_dict(raw)
 
 

@@ -4,17 +4,18 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from .dynamics import evolve, trajectory_to_csv
+from .dynamics import evolve, trajectory_to_csv, truncation_convergence
 from .gauge import CoeffSequence, decomposition_check
 from .harness import (
     ExperimentConfig,
     RunResult,
     invariance_test,
+    observable_matrix,
     summary_json,
-    thread_count,
     write_csv,
     write_json,
 )
@@ -27,9 +28,8 @@ from .measures import (
     sample_gaussian_coeffs,
     weighted_mean_stderr,
 )
-from .spectral import SpectralField, TWO_PI
-from .variational import divergence_scan
-from .harness import observable_matrix
+from .spectral import SpectralField, TWO_PI, TorusGeometry
+from .variational import VariationalConfig, divergence_scan, objective_estimate
 
 
 def run_sample(config: ExperimentConfig) -> RunResult:
@@ -39,7 +39,8 @@ def run_sample(config: ExperimentConfig) -> RunResult:
     csv_path = os.path.join(config.out, "ensemble.csv")
     write_csv(csv_path, header, rows)
     obs = observable_matrix(
-        config.params.geometry, ens.coeffs, config.params, **config.observable_spec()
+        config.params.geometry, ens.coeffs, config.params,
+        s_norms=config.observables.s_norms, mode_powers=config.observables.mode_powers,
     )
     report = make_report(obs, ens.weights)
     payload = {
@@ -74,11 +75,12 @@ def run_invariance(config: ExperimentConfig) -> RunResult:
         config.t_horizon,
         config.ensemble,
         rng,
-        threads=thread_count(config.threads),
-        **config.observable_spec(),
+        s_norms=config.observables.s_norms,
+        mode_powers=config.observables.mode_powers,
+        threads=config.threads,
     )
     json_path = os.path.join(config.out, "invariance.json")
-    write_json(json_path, report.to_json())
+    write_json(json_path, asdict(report))
     header = ["observable", "mean0", "meanT", "diff", "stderr", "z"]
     rows = [
         [name, d["mean0"], d["meanT"], d["diff"], d["stderr"], d["z"]]
@@ -87,25 +89,22 @@ def run_invariance(config: ExperimentConfig) -> RunResult:
     csv_path = os.path.join(config.out, "invariance.csv")
     write_csv(csv_path, header, rows)
     code = 0 if (report.passed and report.control_failed) else 2
-    return RunResult(code, [csv_path, json_path], report.to_json())
+    return RunResult(code, [csv_path, json_path], asdict(report))
 
 
 def run_moments(config: ExperimentConfig) -> RunResult:
-    spec = config.extra.get("moments", {})
-    targets = spec.get("pbeta_sigma", [0.2, 0.5, 0.8])
-    m = int(spec.get("samples", 10**5))
     rng = RngStream(config.seed)
     params = config.params
     sig = params.sigma_n()
     gen = rng.generator()
-    coeffs = sample_gaussian_coeffs(params, gen, m)
+    coeffs = sample_gaussian_coeffs(params, gen, config.moments.samples)
     # field value at x = 0: (2pi)^(-d/2) sum a_n
     axes = tuple(range(-params.geometry.d, 0))
     u0 = np.sum(coeffs, axis=axes) / TWO_PI ** (params.geometry.d / 2.0)
     absq = np.abs(u0) ** 2
     rows = []
     worst = 0.0
-    for target in targets:
+    for target in config.moments.pbeta_sigma:
         c = target / sig
         est_vals = np.exp(c * absq)
         est, se, _ = weighted_mean_stderr(est_vals, None)
@@ -122,19 +121,11 @@ def run_moments(config: ExperimentConfig) -> RunResult:
 
 
 def run_variational(config: ExperimentConfig) -> RunResult:
-    from dataclasses import replace
-
-    from .spectral import TorusGeometry
-    from .variational import VariationalConfig, objective_estimate
-
-    spec = config.extra.get("variational", {})
-    l_ladder = spec.get("l_ladder", [10.0, 100.0, 1000.0, 10000.0])
-    k_mass = spec.get("k_mass", 1.0)
-    gamma_sign = float(spec.get("gamma_sign", math.copysign(1.0, config.params.gamma or -1.0)))
+    spec = config.variational
     rng = RngStream(config.seed)
     artifacts = []
     scan = divergence_scan(
-        config.params, gamma_sign, k_mass, l_ladder, config.ensemble, rng
+        config.params, spec.gamma_sign, spec.k_mass, spec.l_ladder, config.ensemble, rng
     )
     rows = [
         [l, e, s]
@@ -149,23 +140,19 @@ def run_variational(config: ExperimentConfig) -> RunResult:
         "saturated": scan.saturated,
     }
 
-    n_ladder = spec.get("n_ladder")
-    if n_ladder:
-        eta = float(spec.get("eta", 4.0))
-        dt_sde = spec.get("dt_sde")
+    if spec.n_ladder:
         obj_rows = []
-        for n in n_ladder:
-            n = int(n)
+        for n in spec.n_ladder:
             geo = TorusGeometry(
                 d=config.params.d, n_max=2 * n, oversampling=config.params.geometry.oversampling
             )
             params_n = replace(config.params, n_cut=n, geometry=geo)
-            l_clip = float(spec.get("l_clip", 100.0 * math.exp(
-                0.45 * abs(params_n.beta) * eta**2 * n
-            )))
+            l_clip = spec.l_clip
+            if l_clip is None:
+                l_clip = 100.0 * math.exp(0.45 * abs(params_n.beta) * spec.eta**2 * n)
             vcfg = VariationalConfig(
-                params=params_n, k_mass=float(k_mass), l_clip=l_clip,
-                eta=eta, m=config.ensemble, dt_sde=dt_sde,
+                params=params_n, k_mass=spec.k_mass, l_clip=l_clip,
+                eta=spec.eta, m=config.ensemble, dt_sde=spec.dt_sde,
             )
             rep = objective_estimate(vcfg, rng.child(n))
             obj_rows.append([n, rep.estimate, rep.stderr, rep.indicator_freq, rep.mean_cost])
@@ -184,43 +171,33 @@ def run_variational(config: ExperimentConfig) -> RunResult:
 
 
 def run_gauge_check(config: ExperimentConfig) -> RunResult:
-    spec = config.extra.get("gauge", {})
-    k = int(spec.get("k", 2))
-    n_modes = int(spec.get("modes", 4))
-    trials = int(spec.get("trials", 20))
-    tolerance = float(spec.get("tolerance", 1e-10))
+    spec = config.gauge
     rng = RngStream(config.seed)
     gen = rng.generator()
     max_err = 0.0
-    for _ in range(trials):
-        modes = gen.choice(np.arange(-4, 5), size=n_modes, replace=False)
-        coeffs = gen.standard_normal(n_modes) + 1j * gen.standard_normal(n_modes)
-        rep = decomposition_check(k, CoeffSequence(modes, coeffs))
+    for _ in range(spec.trials):
+        modes = gen.choice(np.arange(-4, 5), size=spec.modes, replace=False)
+        coeffs = gen.standard_normal(spec.modes) + 1j * gen.standard_normal(spec.modes)
+        rep = decomposition_check(spec.k, CoeffSequence(modes, coeffs))
         max_err = max(max_err, rep.relative_error)
-    payload = {"max_error": max_err, "trials": trials, "pass": max_err <= tolerance}
+    payload = {"max_error": max_err, "trials": spec.trials, "pass": max_err <= spec.tolerance}
     json_path = os.path.join(config.out, "gauge_check.json")
     write_json(json_path, payload)
     return RunResult(0 if payload["pass"] else 2, [json_path], payload)
 
 
 def run_truncation(config: ExperimentConfig) -> RunResult:
-    from .dynamics import truncation_convergence
-
-    spec = config.extra.get("truncation", {})
-    n_ladder = spec.get("n_ladder", [8, 16, 32])
-    n_ref = int(spec.get("n_ref", 64))
-    s = float(spec.get("s", 0.5))
-    bandwidth = int(spec.get("u0_bandwidth", 3))
+    spec = config.truncation
     rng = RngStream(config.seed)
     gen = rng.generator()
     geo = config.params.geometry
     u0 = SpectralField.zero(geo)
-    for n in range(-bandwidth, bandwidth + 1):
+    for n in range(-spec.u0_bandwidth, spec.u0_bandwidth + 1):
         u0.coeffs[geo.n_max + n] = (
             gen.standard_normal() + 1j * gen.standard_normal()
         ) / (2.0 * (1 + abs(n)))
     cfg = config.flow_config()
-    table = truncation_convergence(u0, cfg, n_ladder, n_ref, s)
+    table = truncation_convergence(u0, cfg, spec.n_ladder, spec.n_ref, spec.s)
     rows = [[int(n), e] for n, e in zip(table.n_values, table.errors)]
     csv_path = os.path.join(config.out, "truncation.csv")
     write_csv(csv_path, ["N", "error"], rows)

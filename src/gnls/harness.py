@@ -12,10 +12,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -30,17 +34,15 @@ from .measures import (
     sample_gaussian_coeffs,
     weighted_mean_stderr,
 )
-from .spectral import TorusGeometry, sobolev_norm_array
+from .spectral import DEFAULT_OVERSAMPLING, TorusGeometry, sobolev_norm_array
 
-EXPERIMENT_KINDS = (
-    "sample",
-    "evolve",
-    "invariance",
-    "moments",
-    "variational",
-    "gauge-check",
-    "truncation",
-)
+# the experiments, each with the `mode` values it accepts, its default first;
+# an experiment without modes rejects the key
+EXPERIMENT_MODES = {
+    "sample": ("importance", "rejection"),
+    "evolve": MODES,
+    **dict.fromkeys(("invariance", "moments", "variational", "gauge-check", "truncation"), ()),
+}
 
 _CHUNK = 1024  # ensemble rows per worker task; fixed so results are
 # independent of the thread count
@@ -55,6 +57,204 @@ def thread_count(requested: int | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
+# experiment configuration
+# ---------------------------------------------------------------------------
+#
+# One frozen dataclass per config block.  A field's key is its name (or
+# `metadata["key"]`), its annotation is the JSON type the key takes, its
+# default is the only copy of that key's default, and `metadata["min"]` is a
+# lower bound.  `_parse` walks the fields, so a block's keys are its fields.
+
+
+class ConfigError(ValueError):
+    pass
+
+
+@dataclass(frozen=True)
+class ParamsBlock:
+    alpha: float
+    beta: float
+    gamma: float
+    n_cut: int
+    d: int = 1
+    n_max: int | None = None  # None: n_cut
+    oversampling: float = DEFAULT_OVERSAMPLING
+    model: ModelParams = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.n_max is None:
+            object.__setattr__(self, "n_max", self.n_cut)
+        geometry = TorusGeometry(self.d, self.n_max, oversampling=self.oversampling)
+        model = ModelParams(self.d, self.alpha, self.beta, self.gamma, self.n_cut, geometry)
+        object.__setattr__(self, "model", model)
+
+
+@dataclass(frozen=True)
+class FlowBlock:
+    dt: float = 1e-3
+    t_final: float | None = None  # None: t_horizon
+    nonlinear_substeps: int = FlowConfig.nonlinear_substeps
+    dispersion_symbol: str = FlowConfig.dispersion_symbol
+    scheme: str = FlowConfig.scheme
+    store_every: int = FlowConfig.store_every
+
+
+@dataclass(frozen=True)
+class ObservablesBlock:
+    s_norms: tuple[float, ...] = (0.5,)
+    mode_powers: tuple[int, ...] = (0, 1, 2)
+
+
+@dataclass(frozen=True)
+class MomentsBlock:
+    pbeta_sigma: tuple[float, ...] = (0.2, 0.5, 0.8)
+    # one sample has no standard error, and z = 0 would pass vacuously
+    samples: int = field(default=10**5, metadata={"min": 2})
+
+
+@dataclass(frozen=True)
+class GaugeBlock:
+    k: int = 2
+    modes: int = 4
+    trials: int = field(default=20, metadata={"min": 1})  # zero trials pass vacuously
+    tolerance: float = 1e-10
+
+
+@dataclass(frozen=True)
+class TruncationBlock:
+    n_ladder: tuple[int, ...] = (8, 16, 32)
+    n_ref: int = 64
+    s: float = 0.5
+    u0_bandwidth: int = 3
+
+
+@dataclass(frozen=True)
+class VariationalBlock:
+    l_ladder: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
+    k_mass: float = 1.0
+    gamma_sign: float | None = None  # None: the sign of params.gamma, -1 at 0
+    n_ladder: tuple[int, ...] | None = None  # None: no drifted-objective scan
+    eta: float = 4.0
+    dt_sde: float | None = None  # None: the OU stability rule
+    l_clip: float | None = None  # None: 100 exp(0.45 |beta| eta^2 N) per rung
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """A parsed experiment config with every default applied; the fields are
+    the top-level keys, and `params` is the model the params block builds."""
+
+    experiment: str
+    params_block: ParamsBlock = field(metadata={"key": "params"})
+    seed: int = 0
+    out: str = "."
+    threads: int = 1  # GNLS_THREADS overrides it
+    ensemble: int = 1000
+    t_horizon: float = 1.0
+    mode: str | None = None
+    flow: FlowBlock = FlowBlock()
+    observables: ObservablesBlock = ObservablesBlock()
+    moments: MomentsBlock = MomentsBlock()
+    gauge: GaugeBlock = GaugeBlock()
+    truncation: TruncationBlock = TruncationBlock()
+    variational: VariationalBlock = VariationalBlock()
+
+    def __post_init__(self) -> None:
+        modes = EXPERIMENT_MODES.get(self.experiment)
+        if modes is None:
+            raise ValueError(
+                f"unknown experiment {self.experiment!r}; expected one of {tuple(EXPERIMENT_MODES)}"
+            )
+        if self.mode not in (None, *modes):
+            raise ValueError(
+                f"{self.experiment} does not take mode {self.mode!r}; its modes: {list(modes)}"
+            )
+        object.__setattr__(self, "threads", thread_count(self.threads))
+        if modes and self.mode is None:
+            object.__setattr__(self, "mode", modes[0])
+        if self.flow.t_final is None:
+            object.__setattr__(self, "flow", replace(self.flow, t_final=self.t_horizon))
+        if self.variational.gamma_sign is None:
+            sign = math.copysign(1.0, self.params.gamma or -1.0)
+            object.__setattr__(self, "variational", replace(self.variational, gamma_sign=sign))
+        self.flow_config()  # FlowConfig checks dt, scheme, symbol and substeps
+
+    @classmethod
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        return _parse(cls, raw, "")
+
+    @property
+    def params(self) -> ModelParams:
+        return self.params_block.model
+
+    def flow_config(self) -> FlowConfig:
+        return FlowConfig(params=self.params, **asdict(self.flow))
+
+
+# the JSON type each field annotation takes, and its name in error messages
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a finite number"),
+               str: (str, "a string")}
+
+
+def _parse(cls, raw, where: str):
+    """Build the schema dataclass `cls` from the JSON value `raw` found at
+    `where`; every failure is a one-line ConfigError naming the key."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {json.dumps(raw)}")
+    prefix = f"{where}." if where else ""
+    keyed = {f.metadata.get("key", f.name): f for f in fields(cls) if f.init}
+    unknown = [json.dumps(prefix + k) for k in sorted(set(raw) - set(keyed))]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for key, f in keyed.items():
+        if key in raw:
+            values[f.name] = _value(hints[f.name], raw[key], prefix + key)
+            low = f.metadata.get("min")
+            if low is not None and values[f.name] < low:
+                raise ConfigError(f"{prefix}{key} must be at least {low}, got {raw[key]}")
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required key {prefix}{key}")
+    try:
+        return cls(**values)
+    except (ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}" if where else str(exc)) from exc
+
+
+def _value(tp, value, key: str):
+    if get_origin(tp) is UnionType:  # `X | None`
+        if value is None:
+            return None
+        (tp,) = (a for a in get_args(tp) if a is not type(None))
+    if is_dataclass(tp):
+        return _parse(tp, value, key)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be a JSON array, got {json.dumps(value)}")
+        return tuple(_value(get_args(tp)[0], v, f"{key}[{i}]") for i, v in enumerate(value))
+    accepted, name = _JSON_TYPES[tp]
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, accepted)
+        or (tp is float and not abs(value) <= sys.float_info.max)  # NaN, inf, huge ints
+    ):
+        raise ConfigError(f"{key} must be {name}, got {json.dumps(value)}")
+    return float(value) if tp is float else value
+
+
+def _as_json(obj):
+    """A parsed config as JSON, every default applied: the dry-run output."""
+    if not is_dataclass(obj):
+        return obj
+    return {
+        f.metadata.get("key", f.name): _as_json(getattr(obj, f.name))
+        for f in fields(obj)
+        if f.init
+    }
+
+
+# ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------
 
@@ -63,9 +263,9 @@ def observable_matrix(
     geometry: TorusGeometry,
     coeffs: np.ndarray,
     params: ModelParams,
-    symbol: str = "bracket",
-    s_norms=(0.5,),
-    mode_powers=(0, 1, 2),
+    symbol: str = FlowConfig.dispersion_symbol,
+    s_norms=ObservablesBlock.s_norms,
+    mode_powers=ObservablesBlock.mode_powers,
 ) -> dict:
     """Batched observable vector; coeffs shape (m, *box)."""
     mask = geometry.euclid_mask(params.n_cut)
@@ -106,19 +306,6 @@ class InvarianceReport:
     ensemble_size: int
     ess: float
 
-    def to_json(self) -> dict:
-        return {
-            "observables": self.observables,
-            "max_abs_z": self.max_abs_z,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "control_observable": self.control_observable,
-            "control_z": self.control_z,
-            "control_failed": self.control_failed,
-            "ensemble_size": self.ensemble_size,
-            "ess": self.ess,
-        }
-
 
 def _paired_stats(diffs: np.ndarray, weights: np.ndarray, scale: float = 1.0):
     est, se, ess = weighted_mean_stderr(diffs, weights)
@@ -140,7 +327,7 @@ def invariance_test(
     control_beta_factor: float = 2.0,
     control_observable: str = "potential",
     s_norms=(0.25,),
-    mode_powers=(0, 1, 2),
+    mode_powers=ObservablesBlock.mode_powers,
     threads: int | None = None,
 ) -> InvarianceReport:
     """Weighted paired-difference test of Gibbs invariance under the
@@ -153,8 +340,6 @@ def invariance_test(
             "the pure symbol will generically fail",
             stacklevel=2,
         )
-    from dataclasses import replace
-
     geometry = params.geometry
     gen = rng.generator()
     coeffs0 = sample_gaussian_coeffs(params, gen, m)
@@ -218,138 +403,6 @@ def invariance_test(
 
 
 # ---------------------------------------------------------------------------
-# experiment configuration
-# ---------------------------------------------------------------------------
-
-_SCHEMA = {
-    "experiment": str,
-    "seed": int,
-    "out": str,
-    "threads": int,
-    "params": dict,
-    "flow": dict,
-    "ensemble": int,
-    "observables": dict,
-    "t_horizon": float,
-    "mode": str,
-    "gauge": dict,
-    "variational": dict,
-    "truncation": dict,
-    "moments": dict,
-}
-
-# the keys each nested block accepts
-_BLOCK_KEYS = {
-    "params": {"d", "alpha", "beta", "gamma", "n_cut", "n_max", "oversampling"},
-    "flow": {"dt", "t_final", "nonlinear_substeps", "dispersion_symbol", "scheme", "store_every"},
-    "observables": {"s_norms", "mode_powers"},
-    "moments": {"pbeta_sigma", "samples"},
-    "gauge": {"k", "modes", "trials", "tolerance"},
-    "truncation": {"n_ladder", "n_ref", "s", "u0_bandwidth"},
-    "variational": {"l_ladder", "k_mass", "gamma_sign", "n_ladder", "eta", "dt_sde", "l_clip"},
-}
-
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    params: ModelParams
-    seed: int = 0
-    out: str = "."
-    threads: int = 1
-    flow: dict = field(default_factory=dict)
-    ensemble: int = 1000
-    t_horizon: float = 1.0
-    mode: str = "importance"
-    extra: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        unknown = set(raw) - set(_SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "experiment" not in raw:
-            raise ConfigError("missing required key 'experiment'")
-        kind = raw["experiment"]
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"unknown experiment {kind!r}; expected one of {EXPERIMENT_KINDS}"
-            )
-        if "params" not in raw:
-            raise ConfigError("missing required key 'params'")
-        for block, keys in _BLOCK_KEYS.items():
-            entries = raw.get(block, {})
-            if not isinstance(entries, dict):
-                raise ConfigError(f"{block!r} must be a JSON object")
-            unknown = set(entries) - keys
-            if unknown:
-                raise ConfigError(f"unknown {block} keys: {sorted(unknown)}")
-        # an absent mode means the sampler's default, or galerkin for a flow
-        mode = str(raw.get("mode", "galerkin" if kind == "evolve" else "importance"))
-        if kind == "evolve" and mode not in MODES:
-            raise ConfigError(f"unknown evolve mode {mode!r}; expected one of {MODES}")
-        p = dict(raw["params"])
-        flow = dict(raw.get("flow", {}))
-        try:
-            n_cut = int(p["n_cut"])
-            geometry = TorusGeometry(
-                d=int(p.get("d", 1)),
-                n_max=int(p.get("n_max", n_cut)),
-                oversampling=float(p.get("oversampling", 4.0)),
-            )
-            params = ModelParams(
-                d=int(p.get("d", 1)),
-                alpha=float(p["alpha"]),
-                beta=float(p["beta"]),
-                gamma=float(p["gamma"]),
-                n_cut=n_cut,
-                geometry=geometry,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid params block: {exc}") from exc
-        extra = {
-            k: raw[k]
-            for k in ("gauge", "variational", "truncation", "moments", "observables")
-            if k in raw
-        }
-        return cls(
-            experiment=kind,
-            params=params,
-            seed=int(raw.get("seed", 0)),
-            out=str(raw.get("out", ".")),
-            threads=int(raw.get("threads", 1)),
-            flow=flow,
-            ensemble=int(raw.get("ensemble", 1000)),
-            t_horizon=float(raw.get("t_horizon", 1.0)),
-            mode=mode,
-            extra=extra,
-        )
-
-    def flow_config(self) -> FlowConfig:
-        return FlowConfig(
-            params=self.params,
-            dt=float(self.flow.get("dt", 1e-3)),
-            t_final=float(self.flow.get("t_final", self.t_horizon)),
-            nonlinear_substeps=int(self.flow.get("nonlinear_substeps", 1)),
-            dispersion_symbol=str(self.flow.get("dispersion_symbol", "bracket")),
-            scheme=str(self.flow.get("scheme", "strang")),
-            store_every=int(self.flow.get("store_every", 1)),
-        )
-
-    def observable_spec(self) -> dict:
-        """Observable selection: {"s_norms": [...], "mode_powers": [...]}."""
-        spec = self.extra.get("observables", {})
-        return {
-            "s_norms": tuple(spec.get("s_norms", (0.5,))),
-            "mode_powers": tuple(spec.get("mode_powers", (0, 1, 2))),
-        }
-
-
-# ---------------------------------------------------------------------------
 # persistence helpers
 # ---------------------------------------------------------------------------
 
@@ -397,32 +450,8 @@ def run(config: ExperimentConfig, dry_run: bool = False) -> RunResult:
     from . import experiments
 
     if dry_run:
-        return RunResult(0, [], {"resolved": _resolved_dict(config)})
+        return RunResult(0, [], {"resolved": _as_json(config)})
     os.makedirs(config.out, exist_ok=True)
     kind = config.experiment.replace("-", "_")
     fn = getattr(experiments, f"run_{kind}")
     return fn(config)
-
-
-def _resolved_dict(config: ExperimentConfig) -> dict:
-    p = config.params
-    return {
-        "experiment": config.experiment,
-        "seed": config.seed,
-        "out": config.out,
-        "threads": thread_count(config.threads),
-        "params": {
-            "d": p.d,
-            "alpha": p.alpha,
-            "beta": p.beta,
-            "gamma": p.gamma,
-            "n_cut": p.n_cut,
-            "n_max": p.geometry.n_max,
-            "m_grid": p.geometry.m_grid,
-        },
-        "flow": config.flow,
-        "ensemble": config.ensemble,
-        "t_horizon": config.t_horizon,
-        "mode": config.mode,
-        **config.extra,
-    }

@@ -1,8 +1,18 @@
+import contextlib
 import gc
+import io
 import json
+import os
+import tempfile
 import warnings
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from gnls import ExperimentConfig
 from gnls.cli import main
+from gnls.harness import ConfigError
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -65,7 +75,42 @@ class TestCli:
         assert main(["sample", "--config", cfg, "--dry-run"]) == 0
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["experiment"] == "sample"
+        assert resolved["mode"] == "importance"
         assert not out_dir.exists()
+        # evolve with no flow block: every key of every block, defaults applied
+        cfg = sample_config(tmp_path, experiment="evolve", out=str(out_dir), t_horizon=0.5)
+        assert main(["evolve", "--config", cfg, "--dry-run"]) == 0
+        resolved = json.loads(capsys.readouterr().out)
+        assert not out_dir.exists()
+        assert resolved["mode"] == "galerkin"
+        assert resolved["flow"] == {
+            "dt": 0.001,
+            "t_final": 0.5,
+            "nonlinear_substeps": 1,
+            "dispersion_symbol": "bracket",
+            "scheme": "strang",
+            "store_every": 1,
+        }
+        assert resolved["params"] == {
+            "d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0,
+            "n_cut": 4, "n_max": 4, "oversampling": 4.0,
+        }
+        assert resolved["observables"] == {"s_norms": [0.5], "mode_powers": [0, 1, 2]}
+        assert resolved["moments"] == {"pbeta_sigma": [0.2, 0.5, 0.8], "samples": 100000}
+        assert resolved["gauge"] == {"k": 2, "modes": 4, "trials": 20, "tolerance": 1e-10}
+        assert resolved["truncation"] == {
+            "n_ladder": [8, 16, 32], "n_ref": 64, "s": 0.5, "u0_bandwidth": 3,
+        }
+        assert resolved["variational"] == {
+            "l_ladder": [10.0, 100.0, 1000.0, 10000.0],
+            "k_mass": 1.0,
+            "gamma_sign": 1.0,
+            "n_ladder": None,
+            "eta": 4.0,
+            "dt_sde": None,
+            "l_clip": None,
+        }
+        assert set(resolved) == set(SCHEMA_KEYS[None])
 
     def test_gauge_check_flags(self, tmp_path, capsys):
         code = main(
@@ -174,6 +219,32 @@ class TestCli:
         assert "colocation" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize(
+        "experiment, over, key",
+        [
+            # `mode` is checked against the experiment's modes
+            ("sample", {"mode": "galerkin"}, "galerkin"),
+            ("invariance", {"mode": "rejection"}, "rejection"),
+            # sizes at which a statistic pinned at 0 would pass vacuously
+            ("moments", {"moments": {"samples": 1}}, "moments.samples"),
+            ("gauge-check", {"gauge": {"trials": 0}}, "gauge.trials"),
+            # strict types
+            ("sample", {"seed": 1.7}, "seed"),
+            ("sample", {"ensemble": "10"}, "ensemble"),
+            ("sample", {"ensemble": True}, "ensemble"),
+            ("variational", {"variational": {"l_ladder": "10,100"}}, "variational.l_ladder"),
+        ],
+    )
+    def test_rejected_config_exits_one_before_output(
+        self, tmp_path, capsys, experiment, over, key
+    ):
+        cfg = sample_config(tmp_path, experiment=experiment, **over)
+        assert main([experiment, "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("gnls: config error:") and err.count("\n") == 1, err
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_nested_keys_exit_one(self, tmp_path, capsys):
         blocks = {
             "moments": {"samplez": 100},
@@ -186,3 +257,69 @@ class TestCli:
             assert main(["sample", "--config", cfg]) == 1
             err = capsys.readouterr().err
             assert "config error" in err and next(iter(entry)) in err
+
+
+# every key the config accepts, per block; None is the top level
+SCHEMA_KEYS = {
+    None: ("experiment", "seed", "out", "threads", "params", "flow", "ensemble",
+           "observables", "t_horizon", "mode", "gauge", "variational", "truncation",
+           "moments"),
+    "params": ("d", "alpha", "beta", "gamma", "n_cut", "n_max", "oversampling"),
+    "flow": ("dt", "t_final", "nonlinear_substeps", "dispersion_symbol", "scheme",
+             "store_every"),
+    "observables": ("s_norms", "mode_powers"),
+    "moments": ("pbeta_sigma", "samples"),
+    "gauge": ("k", "modes", "trials", "tolerance"),
+    "truncation": ("n_ladder", "n_ref", "s", "u0_bandwidth"),
+    "variational": ("l_ladder", "k_mass", "gamma_sign", "n_ladder", "eta", "dt_sde",
+                    "l_clip"),
+}
+EXPERIMENTS = ("sample", "evolve", "invariance", "moments", "variational",
+               "gauge-check", "truncation")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+# a block (None: the top level) and one of its keys, or an arbitrary key
+PLACES = st.sampled_from(list(SCHEMA_KEYS)).flatmap(
+    lambda block: st.tuples(
+        st.just(block), st.sampled_from(SCHEMA_KEYS[block]) | st.text(max_size=6)
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(experiment=st.sampled_from(EXPERIMENTS), place=PLACES, value=JSON_VALUES)
+@example(experiment="sample", place=(None, "seed"), value=None)
+@example(experiment="evolve", place=(None, "params"), value=[1])
+def test_any_json_value_parses_or_exits_one(experiment, place, value):
+    """One arbitrary JSON value under a known or arbitrary key of the top level
+    or of a block: the parser returns a config or raises ConfigError, and the
+    CLI dry run exits 0 or 1 without a traceback and writes nothing."""
+    block, key = place
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = {
+            "experiment": experiment,
+            "out": os.path.join(tmp, "out"),
+            "params": {"alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 4},
+        }
+        (raw if block is None else raw.setdefault(block, {}))[key] = value
+        try:
+            ExperimentConfig.from_dict(json.loads(json.dumps(raw)))
+            parsed = True
+        except ConfigError:
+            parsed = False
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([experiment, "--config", path, "--dry-run"])
+        assert code in (0, 1)
+        assert parsed or code == 1
+        assert code == 0 or err.getvalue().count("\n") == 1
+        assert os.listdir(tmp) == ["config.json"]
