@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/golden/make_hashes.py
 
-Runs every subcommand of tests/test_golden.py at GNLS_THREADS=1 and 2 and
+Runs every case of tests/test_golden.py at GNLS_THREADS=1 and 2 and
 refuses to write when the two thread counts disagree.
 """
 

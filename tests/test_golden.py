@@ -1,6 +1,8 @@
 """Golden-artifact guard: every CLI subcommand at a tiny pinned config must
 write byte-identical artifacts and exit with the pinned code, at one and at
-two worker threads.
+two worker threads.  `gnls sample` has two more cases: rejection mode, and
+non-default observables (which must leave the fixed `ensemble.csv` columns
+alone).
 
 The SHA-256 of each artifact and the exit code live in
 `tests/golden/hashes.json`; `python tests/golden/make_hashes.py` rewrites
@@ -22,17 +24,34 @@ HASHES = os.path.join(os.path.dirname(__file__), "golden", "hashes.json")
 
 _LOW = {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 4}
 
-# one config per subcommand; the invariance ensemble exceeds the 1024-row
-# chunk so that two threads really split it, and its tiny horizon leaves the
-# negative control undetected, hence the pinned exit code 2
+# the cases by name, each config naming its subcommand; the invariance
+# ensemble exceeds the 1024-row chunk so that two threads really split it, and
+# its tiny horizon leaves the negative control undetected, hence the pinned
+# exit code 2
 CONFIGS = {
-    "sample": {"seed": 7, "ensemble": 40, "params": _LOW},
+    "sample": {"experiment": "sample", "seed": 7, "ensemble": 40, "params": _LOW},
+    "sample-rejection": {
+        "experiment": "sample",
+        "mode": "rejection",
+        "seed": 7,
+        "ensemble": 40,
+        "params": _LOW,
+    },
+    "sample-observables": {
+        "experiment": "sample",
+        "seed": 7,
+        "ensemble": 40,
+        "params": _LOW,
+        "observables": {"s_norms": [0.25, 1.0], "mode_powers": [1]},
+    },
     "evolve": {
+        "experiment": "evolve",
         "seed": 1,
         "params": _LOW,
         "flow": {"dt": 0.01, "t_final": 0.05, "store_every": 2},
     },
     "invariance": {
+        "experiment": "invariance",
         "seed": 0,
         "ensemble": 1100,
         "t_horizon": 0.05,
@@ -40,11 +59,13 @@ CONFIGS = {
         "flow": {"dt": 0.01},
     },
     "moments": {
+        "experiment": "moments",
         "seed": 4,
         "params": {"d": 1, "alpha": 2.0, "beta": 1.0, "gamma": 1.0, "n_cut": 1},
         "moments": {"samples": 2000},
     },
     "variational": {
+        "experiment": "variational",
         "seed": 9,
         "ensemble": 200,
         "params": {"d": 1, "alpha": 2.0, "beta": 0.5, "gamma": -1.0, "n_cut": 4},
@@ -56,11 +77,13 @@ CONFIGS = {
         },
     },
     "gauge-check": {
+        "experiment": "gauge-check",
         "seed": 11,
         "params": _LOW,
         "gauge": {"k": 2, "modes": 4, "trials": 3},
     },
     "truncation": {
+        "experiment": "truncation",
         "seed": 5,
         "params": {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 16},
         "flow": {"dt": 0.01, "t_final": 0.05},
@@ -70,14 +93,14 @@ CONFIGS = {
 
 
 def run_subcommand(name: str, workdir: str) -> dict:
-    """Run one subcommand in `workdir`; return its exit code and the SHA-256
-    of every file it wrote, keyed by path relative to the output directory."""
+    """Run case `name` in `workdir`; return its exit code and the SHA-256 of
+    every file it wrote, keyed by path relative to the output directory."""
     out = os.path.join(workdir, "out")
     cfg = os.path.join(workdir, "config.json")
     with open(cfg, "w") as fh:
-        json.dump(dict(CONFIGS[name], experiment=name, out=out), fh)
+        json.dump(dict(CONFIGS[name], out=out), fh)
     with contextlib.redirect_stdout(io.StringIO()):
-        code = main([name, "--config", cfg])
+        code = main([CONFIGS[name]["experiment"], "--config", cfg])
     artifacts = {}
     for root, _, files in os.walk(out):
         for fname in files:
