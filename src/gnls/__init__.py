@@ -17,7 +17,6 @@ from .spectral import (
     weyl_count,
 )
 from .measures import (
-    EnsembleReport,
     GibbsEnsemble,
     ModelParams,
     NonIntegrableError,

@@ -1,7 +1,7 @@
 """Command line entry point: gnls <subcommand> --config FILE [options].
 
-Exit codes: 0 pass, 1 error (bad config, runtime failure), 2 statistical-test
-failure.  GNLS_THREADS overrides --threads.
+Exit codes: 0 pass, 1 error (bad config, runtime failure, a NaN or infinity
+in a JSON result), 2 statistical-test failure.  GNLS_THREADS overrides --threads.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import json
 import sys
 
 from .dynamics import MODES, SYMBOLS
-from .harness import ConfigError, ExperimentConfig, run
+from .harness import ConfigError, ExperimentConfig, _json_text, run
 
 
 def int_list(text: str) -> list:
@@ -113,13 +113,12 @@ def main(argv=None) -> int:
         return 1
     try:
         result = run(config, dry_run=args.dry_run)
-    except Exception as exc:  # runtime failure -> exit 1 with diagnostic
+        payload = result.payload["resolved"] if args.dry_run else result.payload
+        text = _json_text(payload)
+    except Exception as exc:  # runtime failure or a non-finite result -> exit 1
         print(f"gnls: error: {exc}", file=sys.stderr)
         return 1
-    if args.dry_run:
-        print(json.dumps(result.payload["resolved"], indent=2, sort_keys=True))
-        return 0
-    print(json.dumps(result.payload, indent=2, sort_keys=True, default=float))
+    print(text)
     return result.exit_code
 
 

@@ -15,55 +15,59 @@ from .harness import (
     RunResult,
     invariance_test,
     observable_matrix,
-    summary_json,
     write_csv,
     write_json,
 )
 from .measures import (
     RngStream,
-    ensemble_rows,
     gibbs_ensemble,
-    make_report,
     sample_gaussian,
     sample_gaussian_coeffs,
     weighted_mean_stderr,
 )
-from .spectral import SpectralField, TWO_PI, TorusGeometry
+from .spectral import SpectralField, TWO_PI, TorusGeometry, sobolev_norm_array
 from .variational import VariationalConfig, divergence_scan, objective_estimate
 
 
 def run_sample(config: ExperimentConfig) -> RunResult:
     rng = RngStream(config.seed)
     ens = gibbs_ensemble(config.params, config.ensemble, rng, config.mode)
-    header, rows = ensemble_rows(ens)
-    csv_path = os.path.join(config.out, "ensemble.csv")
-    write_csv(csv_path, header, rows)
+    geo = config.params.geometry
     obs = observable_matrix(
-        config.params.geometry, ens.coeffs, config.params,
-        s_norms=config.observables.s_norms, mode_powers=config.observables.mode_powers,
+        geo, ens.coeffs, config.params, s_norms=config.observables.s_norms,
+        mode_powers=config.observables.mode_powers, potential=ens.potential,
     )
-    report = make_report(obs, ens.weights)
+    # rejection mode has unit weights; the summary passes None for the plain stderr
+    w = ens.weights if ens.weights is not None else np.ones(ens.size)
+    observables = {}
+    for name, vals in obs.items():
+        est, se, ess = weighted_mean_stderr(vals, ens.weights)
+        observables[name] = {"estimate": est, "stderr": se, "ess": ess}
     payload = {
         "partition_function": {"estimate": ens.z_estimate, "stderr": ens.z_stderr},
-        "observables": summary_json(report.observables),
-        "ensemble_size": report.ensemble_size,
-        "max_weight_fraction": report.max_weight_fraction,
+        "observables": observables,
+        "ensemble_size": ens.size,
+        "max_weight_fraction": float(np.max(w) / np.sum(w)),
     }
-    json_path = os.path.join(config.out, "summary.json")
-    write_json(json_path, payload)
-    return RunResult(0, [csv_path, json_path], payload)
+    write_json(os.path.join(config.out, "summary.json"), payload)
+    # fixed columns, whatever `observables` asks for: hs_norm is the H^(1/2) norm
+    columns = [w, obs["mass"], obs["potential"], obs["hamiltonian"],
+               sobolev_norm_array(geo, ens.coeffs, 0.5)]
+    header = ["sample_id", "weight", "mass", "potential", "hamiltonian", "hs_norm"]
+    rows = [[i, *row] for i, row in enumerate(zip(*columns))]
+    write_csv(os.path.join(config.out, "ensemble.csv"), header, rows)
+    return RunResult(0, payload)
 
 
 def run_evolve(config: ExperimentConfig) -> RunResult:
     rng = RngStream(config.seed)
     u0 = sample_gaussian(config.params, rng)
     traj = evolve(u0, config.flow_config(), mode=config.mode)
-    csv_path = os.path.join(config.out, "trajectory.csv")
-    snap_dir = os.path.join(config.out, "snapshots")
-    trajectory_to_csv(traj, csv_path, snapshot_dir=snap_dir)
+    trajectory_to_csv(traj, os.path.join(config.out, "trajectory.csv"),
+                      snapshot_dir=os.path.join(config.out, "snapshots"))
     drift = abs(traj.diagnostics["mass"][-1] - traj.diagnostics["mass"][0])
     payload = {"steps": len(traj.times) - 1, "mass_drift": drift}
-    return RunResult(0, [csv_path], payload)
+    return RunResult(0, payload)
 
 
 def run_invariance(config: ExperimentConfig) -> RunResult:
@@ -79,17 +83,15 @@ def run_invariance(config: ExperimentConfig) -> RunResult:
         mode_powers=config.observables.mode_powers,
         threads=config.threads,
     )
-    json_path = os.path.join(config.out, "invariance.json")
-    write_json(json_path, asdict(report))
+    write_json(os.path.join(config.out, "invariance.json"), asdict(report))
     header = ["observable", "mean0", "meanT", "diff", "stderr", "z"]
     rows = [
         [name, d["mean0"], d["meanT"], d["diff"], d["stderr"], d["z"]]
         for name, d in report.observables.items()
     ]
-    csv_path = os.path.join(config.out, "invariance.csv")
-    write_csv(csv_path, header, rows)
+    write_csv(os.path.join(config.out, "invariance.csv"), header, rows)
     code = 0 if (report.passed and report.control_failed) else 2
-    return RunResult(code, [csv_path, json_path], asdict(report))
+    return RunResult(code, asdict(report))
 
 
 def run_moments(config: ExperimentConfig) -> RunResult:
@@ -112,18 +114,16 @@ def run_moments(config: ExperimentConfig) -> RunResult:
         zscore = (est - oracle) / se if se > 0 else 0.0
         worst = max(worst, abs(zscore))
         rows.append([target, oracle, est, se, zscore])
-    csv_path = os.path.join(config.out, "moments.csv")
-    write_csv(csv_path, ["pbeta_sigma", "oracle", "estimate", "stderr", "z"], rows)
+    header = ["pbeta_sigma", "oracle", "estimate", "stderr", "z"]
+    write_csv(os.path.join(config.out, "moments.csv"), header, rows)
     payload = {"sigma": sig, "max_abs_z": worst, "pass": worst <= 3.0}
-    json_path = os.path.join(config.out, "moments.json")
-    write_json(json_path, payload)
-    return RunResult(0 if worst <= 3.0 else 2, [csv_path, json_path], payload)
+    write_json(os.path.join(config.out, "moments.json"), payload)
+    return RunResult(0 if worst <= 3.0 else 2, payload)
 
 
 def run_variational(config: ExperimentConfig) -> RunResult:
     spec = config.variational
     rng = RngStream(config.seed)
-    artifacts = []
     scan = divergence_scan(
         config.params, spec.gamma_sign, spec.k_mass, spec.l_ladder, config.ensemble, rng
     )
@@ -131,9 +131,7 @@ def run_variational(config: ExperimentConfig) -> RunResult:
         [l, e, s]
         for l, e, s in zip(scan.l_values, scan.estimates, scan.stderrs)
     ]
-    csv_path = os.path.join(config.out, "divergence.csv")
-    write_csv(csv_path, ["L", "estimate", "stderr"], rows)
-    artifacts.append(csv_path)
+    write_csv(os.path.join(config.out, "divergence.csv"), ["L", "estimate", "stderr"], rows)
     payload = {
         "diverging": bool(scan.trend_pvalue < 0.01 and not scan.saturated),
         "trend_pvalue": scan.trend_pvalue,
@@ -156,18 +154,13 @@ def run_variational(config: ExperimentConfig) -> RunResult:
             )
             rep = objective_estimate(vcfg, rng.child(n))
             obj_rows.append([n, rep.estimate, rep.stderr, rep.indicator_freq, rep.mean_cost])
-        obj_path = os.path.join(config.out, "objective.csv")
-        write_csv(
-            obj_path, ["N", "objective", "stderr", "indicator_freq", "mean_cost"], obj_rows
-        )
-        artifacts.append(obj_path)
+        write_csv(os.path.join(config.out, "objective.csv"),
+                  ["N", "objective", "stderr", "indicator_freq", "mean_cost"], obj_rows)
         payload["objective_decreasing"] = bool(
             all(b[1] < a[1] for a, b in zip(obj_rows, obj_rows[1:]))
         )
-    json_path = os.path.join(config.out, "divergence.json")
-    write_json(json_path, payload)
-    artifacts.append(json_path)
-    return RunResult(0, artifacts, payload)
+    write_json(os.path.join(config.out, "divergence.json"), payload)
+    return RunResult(0, payload)
 
 
 def run_gauge_check(config: ExperimentConfig) -> RunResult:
@@ -181,9 +174,8 @@ def run_gauge_check(config: ExperimentConfig) -> RunResult:
         rep = decomposition_check(spec.k, CoeffSequence(modes, coeffs))
         max_err = max(max_err, rep.relative_error)
     payload = {"max_error": max_err, "trials": spec.trials, "pass": max_err <= spec.tolerance}
-    json_path = os.path.join(config.out, "gauge_check.json")
-    write_json(json_path, payload)
-    return RunResult(0 if payload["pass"] else 2, [json_path], payload)
+    write_json(os.path.join(config.out, "gauge_check.json"), payload)
+    return RunResult(0 if payload["pass"] else 2, payload)
 
 
 def run_truncation(config: ExperimentConfig) -> RunResult:
@@ -199,12 +191,10 @@ def run_truncation(config: ExperimentConfig) -> RunResult:
     cfg = config.flow_config()
     table = truncation_convergence(u0, cfg, spec.n_ladder, spec.n_ref, spec.s)
     rows = [[int(n), e] for n, e in zip(table.n_values, table.errors)]
-    csv_path = os.path.join(config.out, "truncation.csv")
-    write_csv(csv_path, ["N", "error"], rows)
+    write_csv(os.path.join(config.out, "truncation.csv"), ["N", "error"], rows)
     payload = {
         "monotone": bool(np.all(np.diff(table.errors) < 0)),
         "fitted_order": table.fitted_order,
     }
-    json_path = os.path.join(config.out, "truncation.json")
-    write_json(json_path, payload)
-    return RunResult(0, [csv_path, json_path], payload)
+    write_json(os.path.join(config.out, "truncation.json"), payload)
+    return RunResult(0, payload)

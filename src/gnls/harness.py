@@ -62,8 +62,9 @@ def thread_count(requested: int | None = None) -> int:
 #
 # One frozen dataclass per config block.  A field's key is its name (or
 # `metadata["key"]`), its annotation is the JSON type the key takes, its
-# default is the only copy of that key's default, and `metadata["min"]` is a
-# lower bound.  `_parse` walks the fields, so a block's keys are its fields.
+# default is the only copy of that key's default, `metadata["min"]` is a
+# lower bound and `metadata["min_len"]` a least list length.  `_parse` walks
+# the fields, so a block's keys are its fields.
 
 
 class ConfigError(ValueError):
@@ -107,8 +108,8 @@ class ObservablesBlock:
 
 @dataclass(frozen=True)
 class MomentsBlock:
-    pbeta_sigma: tuple[float, ...] = (0.2, 0.5, 0.8)
-    # one sample has no standard error, and z = 0 would pass vacuously
+    # no target, or one sample (no standard error, so z = 0), would pass vacuously
+    pbeta_sigma: tuple[float, ...] = field(default=(0.2, 0.5, 0.8), metadata={"min_len": 1})
     samples: int = field(default=10**5, metadata={"min": 2})
 
 
@@ -122,7 +123,8 @@ class GaugeBlock:
 
 @dataclass(frozen=True)
 class TruncationBlock:
-    n_ladder: tuple[int, ...] = (8, 16, 32)
+    # the convergence order is fitted over two rungs or more
+    n_ladder: tuple[int, ...] = field(default=(8, 16, 32), metadata={"min_len": 2})
     n_ref: int = 64
     s: float = 0.5
     u0_bandwidth: int = 3
@@ -130,10 +132,11 @@ class TruncationBlock:
 
 @dataclass(frozen=True)
 class VariationalBlock:
-    l_ladder: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
+    # the divergence trend is fitted over two clips or more
+    l_ladder: tuple[float, ...] = field(default=(1e1, 1e2, 1e3, 1e4), metadata={"min_len": 2})
     k_mass: float = 1.0
     gamma_sign: float | None = None  # None: the sign of params.gamma, -1 at 0
-    n_ladder: tuple[int, ...] | None = None  # None: no drifted-objective scan
+    n_ladder: tuple[int, ...] | None = field(default=None, metadata={"min_len": 1})  # None: no scan
     eta: float = 4.0
     dt_sde: float | None = None  # None: the OU stability rule
     l_clip: float | None = None  # None: 100 exp(0.45 |beta| eta^2 N) per rung
@@ -210,10 +213,13 @@ def _parse(cls, raw, where: str):
     values = {}
     for key, f in keyed.items():
         if key in raw:
-            values[f.name] = _value(hints[f.name], raw[key], prefix + key)
+            value = values[f.name] = _value(hints[f.name], raw[key], prefix + key)
             low = f.metadata.get("min")
-            if low is not None and values[f.name] < low:
+            if low is not None and value < low:
                 raise ConfigError(f"{prefix}{key} must be at least {low}, got {raw[key]}")
+            least = f.metadata.get("min_len")
+            if least is not None and value is not None and len(value) < least:
+                raise ConfigError(f"{prefix}{key} needs at least {least} entries, got {raw[key]}")
         elif f.default is MISSING:
             raise ConfigError(f"missing required key {prefix}{key}")
     try:
@@ -266,17 +272,20 @@ def observable_matrix(
     symbol: str = FlowConfig.dispersion_symbol,
     s_norms=ObservablesBlock.s_norms,
     mode_powers=ObservablesBlock.mode_powers,
+    potential: np.ndarray | None = None,
 ) -> dict:
-    """Batched observable vector; coeffs shape (m, *box)."""
-    mask = geometry.euclid_mask(params.n_cut)
-    v = potential_array(geometry, coeffs * mask, params.beta)
+    """Batched observable vector; coeffs shape (m, *box).  A caller that has
+    V_beta(Pi_N u) of each row already passes it as `potential`."""
+    if potential is None:
+        mask = geometry.euclid_mask(params.n_cut)
+        potential = potential_array(geometry, coeffs * mask, params.beta)
     # the half-normalized energy observable; not conserved pathwise, so it
     # carries real invariance information (unlike the flow energy)
     kin = 0.5 * kinetic_sum_array(geometry, coeffs, params.alpha, symbol)
     out = {
         "mass": mass_array(geometry, coeffs),
-        "hamiltonian": kin + params.gamma * v,
-        "potential": v,
+        "hamiltonian": kin + params.gamma * potential,
+        "potential": potential,
     }
     for s in s_norms:
         out[f"h{s}_norm"] = sobolev_norm_array(geometry, coeffs, s)
@@ -343,7 +352,10 @@ def invariance_test(
     geometry = params.geometry
     gen = rng.generator()
     coeffs0 = sample_gaussian_coeffs(params, gen, m)
-    weights = gibbs_weight_array(params, coeffs0)
+    obs0 = observable_matrix(
+        geometry, coeffs0, params, cfg.dispersion_symbol, s_norms, mode_powers
+    )
+    weights = np.exp(-params.gamma * obs0["potential"])  # the Gibbs weights
     run_cfg = replace(cfg, params=params, t_final=t_horizon)
 
     n_threads = thread_count(threads)
@@ -358,10 +370,6 @@ def invariance_test(
     else:
         parts = [work(sl) for sl in chunks]
     coeffs_t = np.concatenate(parts, axis=0)
-
-    obs0 = observable_matrix(
-        geometry, coeffs0, params, cfg.dispersion_symbol, s_norms, mode_powers
-    )
     obs_t = observable_matrix(
         geometry, coeffs_t, params, cfg.dispersion_symbol, s_norms, mode_powers
     )
@@ -418,16 +426,27 @@ def write_csv(path, header: list, rows: list) -> None:
 
 
 def write_json(path, payload: dict) -> None:
+    text = _json_text(payload)  # raises before the file is opened
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def summary_json(report_obs: dict) -> dict:
-    return {
-        name: {"estimate": est, "stderr": se, "ess": ess}
-        for name, (est, se, ess) in report_obs.items()
-    }
+def _json_text(payload: dict) -> str:
+    """`payload` as strict JSON, which has no NaN or infinity: a non-finite
+    value raises a one-line ValueError naming its field path."""
+    for path, value in _leaves(payload, ""):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{path} is {value}, which JSON cannot hold")
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _leaves(obj, path: str):
+    """(path, value) of every non-object value nested in `obj`, in key order."""
+    if not isinstance(obj, dict):
+        yield path, obj
+        return
+    for key, value in sorted(obj.items()):
+        yield from _leaves(value, f"{path}.{key}" if path else key)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +457,6 @@ def summary_json(report_obs: dict) -> dict:
 @dataclass
 class RunResult:
     exit_code: int
-    artifacts: list
     payload: dict
 
 
@@ -450,7 +468,7 @@ def run(config: ExperimentConfig, dry_run: bool = False) -> RunResult:
     from . import experiments
 
     if dry_run:
-        return RunResult(0, [], {"resolved": _as_json(config)})
+        return RunResult(0, {"resolved": _as_json(config)})
     os.makedirs(config.out, exist_ok=True)
     kind = config.experiment.replace("-", "_")
     fn = getattr(experiments, f"run_{kind}")

@@ -12,7 +12,7 @@ MCMC is involved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,15 +80,6 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id << 20) + k)
 
 
-@dataclass
-class EnsembleReport:
-    """Weighted Monte-Carlo statistics per observable."""
-
-    observables: dict  # name -> (estimate, stderr, ess)
-    ensemble_size: int
-    max_weight_fraction: float
-
-
 def weighted_mean_stderr(values: np.ndarray, weights: np.ndarray | None):
     """Self-normalized importance estimate with linearized standard error.
 
@@ -108,19 +99,6 @@ def weighted_mean_stderr(values: np.ndarray, weights: np.ndarray | None):
     se = float(np.sqrt(np.sum((w * resid) ** 2)) / wsum)
     ess = float(wsum**2 / np.sum(w**2))
     return est, se, ess
-
-
-def make_report(observables: dict, weights: np.ndarray | None) -> EnsembleReport:
-    out = {}
-    m = 0
-    for name, vals in observables.items():
-        out[name] = weighted_mean_stderr(vals, weights)
-        m = len(vals)
-    if weights is None:
-        maxfrac = 1.0 / m if m else 0.0
-    else:
-        maxfrac = float(np.max(weights) / np.sum(weights))
-    return EnsembleReport(out, m, maxfrac)
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +191,7 @@ class GibbsEnsemble:
     mode: str
     coeffs: np.ndarray  # (m, *box)
     weights: np.ndarray | None
+    potential: np.ndarray  # V_beta(Pi_N u) of each row, shape (m,)
     z_estimate: float
     z_stderr: float
     n_proposed: int
@@ -226,46 +205,44 @@ def gibbs_ensemble(
     params: ModelParams, m: int, rng: RngStream, mode: str = "importance"
 ) -> GibbsEnsemble:
     gen = rng.generator()
-    vol = params.geometry.volume
+    geo = params.geometry
+    mask = geo.euclid_mask(params.n_cut)
+    vol = geo.volume
     if mode == "importance":
         coeffs = sample_gaussian_coeffs(params, gen, m)
-        v = potential_array(
-            params.geometry, coeffs * params.geometry.euclid_mask(params.n_cut), params.beta
-        )
+        v = potential_array(geo, coeffs * mask, params.beta)
         w = np.exp(-params.gamma * v)
         z, z_se, _ = weighted_mean_stderr(w, None)
-        return GibbsEnsemble(params, mode, coeffs, w, z, z_se, m)
+        return GibbsEnsemble(params, mode, coeffs, w, v, z, z_se, m)
     if mode == "rejection":
         if params.gamma < 0:
             raise ValueError("rejection sampling requires gamma >= 0 (bounded density)")
         # accept with prob exp(-gamma (V - Vol)) <= 1; the analytic supremum
         # exp(-gamma Vol) of the density normalizes the proposal.
         accepted = []
+        potentials = []
         n_prop = 0
-        n_acc_target = m
         indicators = []
         batch = max(m, 256)
-        while sum(a.shape[0] for a in accepted) < n_acc_target and n_prop < 10**7:
+        while sum(a.shape[0] for a in accepted) < m and n_prop < 10**7:
             coeffs = sample_gaussian_coeffs(params, gen, batch)
-            v = potential_array(
-                params.geometry,
-                coeffs * params.geometry.euclid_mask(params.n_cut),
-                params.beta,
-            )
+            v = potential_array(geo, coeffs * mask, params.beta)
             p_acc = np.exp(-params.gamma * (v - vol))
             u = gen.uniform(size=batch)
             keep = u < p_acc
             indicators.append(keep)
             accepted.append(coeffs[keep])
+            potentials.append(v[keep])
             n_prop += batch
         coeffs = np.concatenate(accepted, axis=0)[:m]
+        v = np.concatenate(potentials)[:m]
         ind = np.concatenate(indicators).astype(float)
         rate, rate_se, _ = weighted_mean_stderr(ind, None)
         z = rate * math.exp(-params.gamma * vol)
         z_se = rate_se * math.exp(-params.gamma * vol)
         if coeffs.shape[0] < m:
             raise RuntimeError("rejection sampler exhausted proposal budget")
-        return GibbsEnsemble(params, mode, coeffs, None, z, z_se, n_prop)
+        return GibbsEnsemble(params, mode, coeffs, None, v, z, z_se, n_prop)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -348,33 +325,3 @@ def tail_fit(
     y = np.log(freq[ok])
     slope, intercept = np.polyfit(x, y, 1)
     return TailFit(float(slope), float(intercept), r_grid, y, False)
-
-
-# ---------------------------------------------------------------------------
-# ensemble export (CSV / JSON schema of the external interface)
-# ---------------------------------------------------------------------------
-
-
-def ensemble_rows(
-    ensemble: GibbsEnsemble, extra: dict | None = None, s_norm: float = 0.5
-) -> tuple[list[str], list[list]]:
-    """Rows `sample_id, weight, mass, potential, hamiltonian, hs_norm, ...`."""
-    geo = ensemble.params.geometry
-    p = ensemble.params
-    coeffs = ensemble.coeffs
-    masked = coeffs * geo.euclid_mask(p.n_cut)
-    j = mass_array(geo, coeffs)
-    v = potential_array(geo, masked, p.beta)
-    h = 0.5 * kinetic_sum_array(geo, coeffs, p.alpha) + p.gamma * v
-    hs = sobolev_norm_array(geo, coeffs, s_norm)
-    w = ensemble.weights if ensemble.weights is not None else np.ones(len(j))
-    header = ["sample_id", "weight", "mass", "potential", "hamiltonian", "hs_norm"]
-    columns = [j, v, h, hs]
-    if extra:
-        for name, vals in extra.items():
-            header.append(name)
-            columns.append(np.asarray(vals))
-    rows = []
-    for i in range(len(j)):
-        rows.append([i, w[i]] + [col[i] for col in columns])
-    return header, rows

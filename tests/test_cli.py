@@ -233,6 +233,11 @@ class TestCli:
             ("sample", {"ensemble": "10"}, "ensemble"),
             ("sample", {"ensemble": True}, "ensemble"),
             ("variational", {"variational": {"l_ladder": "10,100"}}, "variational.l_ladder"),
+            # lists too short to test anything
+            ("moments", {"moments": {"pbeta_sigma": []}}, "moments.pbeta_sigma"),
+            ("variational", {"variational": {"l_ladder": [10.0]}}, "variational.l_ladder"),
+            ("truncation", {"truncation": {"n_ladder": [8]}}, "truncation.n_ladder"),
+            ("variational", {"variational": {"n_ladder": []}}, "variational.n_ladder"),
         ],
     )
     def test_rejected_config_exits_one_before_output(
@@ -244,6 +249,41 @@ class TestCli:
         assert err.startswith("gnls: config error:") and err.count("\n") == 1, err
         assert key in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "experiment, over, path",
+        [
+            # every Gibbs weight underflows, so the weighted means are 0/0
+            (
+                "sample",
+                {
+                    "ensemble": 200,
+                    "params": {"alpha": 2.5, "beta": 0.2, "gamma": 200.0, "n_cut": 4},
+                },
+                "max_weight_fraction",
+            ),
+            # the flow overflows
+            (
+                "evolve",
+                {
+                    "params": {"alpha": 2.0, "beta": 50.0, "gamma": 1.0, "n_cut": 4},
+                    "flow": {"dt": 0.01, "t_final": 0.05},
+                },
+                "mass_drift",
+            ),
+        ],
+    )
+    def test_non_finite_result_exits_one(self, tmp_path, capsys, experiment, over, path):
+        cfg = sample_config(tmp_path, experiment=experiment, **over)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main([experiment, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("gnls: error:") and err.count("\n") == 1, err
+        assert path in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_unknown_nested_keys_exit_one(self, tmp_path, capsys):
         blocks = {

@@ -23,25 +23,17 @@ from gnls.cli import main
 HASHES = os.path.join(os.path.dirname(__file__), "golden", "hashes.json")
 
 _LOW = {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 4}
+_SAMPLE = {"experiment": "sample", "seed": 7, "ensemble": 40, "params": _LOW}
 
 # the cases by name, each config naming its subcommand; the invariance
 # ensemble exceeds the 1024-row chunk so that two threads really split it, and
 # its tiny horizon leaves the negative control undetected, hence the pinned
 # exit code 2
 CONFIGS = {
-    "sample": {"experiment": "sample", "seed": 7, "ensemble": 40, "params": _LOW},
-    "sample-rejection": {
-        "experiment": "sample",
-        "mode": "rejection",
-        "seed": 7,
-        "ensemble": 40,
-        "params": _LOW,
-    },
+    "sample": _SAMPLE,
+    "sample-rejection": {**_SAMPLE, "mode": "rejection"},
     "sample-observables": {
-        "experiment": "sample",
-        "seed": 7,
-        "ensemble": 40,
-        "params": _LOW,
+        **_SAMPLE,
         "observables": {"s_norms": [0.25, 1.0], "mode_powers": [1]},
     },
     "evolve": {

@@ -159,6 +159,13 @@ class TestConfig:
         assert csv_a == csv_b
         summary = json.loads((tmp_path / "a" / "summary.json").read_text())
         assert "partition_function" in summary
+        # the weighted-ensemble contract
+        m = raw["ensemble"]
+        assert summary["ensemble_size"] == m
+        for stats in summary["observables"].values():
+            assert stats["stderr"] >= 0
+            assert stats["ess"] <= m + 1e-9
+        assert 0 < summary["max_weight_fraction"] < 1
 
     def test_dry_run_writes_nothing(self, tmp_path):
         out = tmp_path / "dry"

@@ -228,20 +228,6 @@ class TestMomentOracle:
 
 
 class TestReports:
-    def test_ensemble_report_contract(self):
-        from gnls.measures import make_report
-
-        gen = np.random.default_rng(0)
-        vals = {"a": gen.standard_normal(400), "b": gen.standard_normal(400) + 2}
-        w = gen.uniform(0.5, 1.5, 400)
-        rep = make_report(vals, w)
-        assert rep.ensemble_size == 400
-        for name in vals:
-            est, se, ess = rep.observables[name]
-            assert se >= 0
-            assert ess <= 400.0 + 1e-9
-        assert 0 < rep.max_weight_fraction < 1
-
     def test_weighted_reduces_to_plain_mean(self):
         vals = np.arange(10.0)
         est_w, se_w, _ = weighted_mean_stderr(vals, np.ones(10))
