@@ -228,6 +228,21 @@ class TestMomentOracle:
 
 
 class TestReports:
+    def test_ensemble_report_contract(self):
+        # the weighted statistics `gnls sample` reports, built from an
+        # importance ensemble and its per-row potential
+        p = make_params()
+        ens = gibbs_ensemble(p, 400, RngStream(0), "importance")
+        assert ens.size == 400
+        masked = ens.coeffs * p.geometry.euclid_mask(p.n_cut)
+        assert np.allclose(ens.potential, potential_array(p.geometry, masked, p.beta))
+        vals = {"potential": ens.potential, "mass": mass_array(p.geometry, ens.coeffs)}
+        for name in vals:
+            est, se, ess = weighted_mean_stderr(vals[name], ens.weights)
+            assert se >= 0
+            assert ess <= 400.0 + 1e-9
+        assert 0 < np.max(ens.weights) / np.sum(ens.weights) < 1
+
     def test_weighted_reduces_to_plain_mean(self):
         vals = np.arange(10.0)
         est_w, se_w, _ = weighted_mean_stderr(vals, np.ones(10))
