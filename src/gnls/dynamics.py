@@ -190,7 +190,7 @@ def _macro_step(
 
 
 def _diagnostics(
-    geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig
+    geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig, step: int, t: float
 ) -> dict:
     p = cfg.params
     mask = geometry.euclid_mask(p.n_cut)
@@ -203,6 +203,9 @@ def _diagnostics(
     out["hamiltonian"] = kin + p.gamma * v
     for s in cfg.s_norms:
         out[f"h{s}_norm"] = float(sobolev_norm_array(geometry, coeffs, s))
+    # a finite mass means finite coefficients: no further reduction is needed
+    if not all(map(math.isfinite, out.values())):
+        raise ValueError(f"the flow is not finite at step {step} (t = {t:g})")
     return out
 
 
@@ -222,12 +225,12 @@ def evolve(
     times = [0.0]
     snaps = [SpectralField(geometry, coeffs.copy())]
     snap_times = [0.0]
-    diags = [_diagnostics(geometry, coeffs, cfg)]
+    diags = [_diagnostics(geometry, coeffs, cfg, 0, 0.0)]
     for k in range(1, n_steps + 1):
         coeffs = _macro_step(geometry, coeffs, cfg, mode, omega, mask, dt, gauge_shift)
         t = k * dt
         times.append(t)
-        diags.append(_diagnostics(geometry, coeffs, cfg))
+        diags.append(_diagnostics(geometry, coeffs, cfg, k, t))
         if k % cfg.store_every == 0 or k == n_steps:
             snaps.append(SpectralField(geometry, coeffs.copy()))
             snap_times.append(t)

@@ -396,12 +396,15 @@ def invariance_test(
     cdiffs = obs_t[control_observable] - obs0[control_observable]
     cscale = float(np.mean(np.abs(obs0[control_observable])) * 2.0)
     _, _, cz, _ = _paired_stats(cdiffs, control_weights, cscale)
+    # underflowing weights or an overflowing flow leave NaN statistics, which
+    # max() skips and _paired_stats turns into z = 0 when the stderr is NaN
+    stats = [ess, cz, *(v for d in report.values() for v in d.values())]
 
     return InvarianceReport(
         observables=report,
         max_abs_z=max_z,
         threshold=threshold,
-        passed=max_z <= threshold,
+        passed=all(map(math.isfinite, stats)) and max_z <= threshold,
         control_observable=control_observable,
         control_z=cz,
         control_failed=abs(cz) > threshold,

@@ -173,22 +173,16 @@ def _ou_stepper(
     gen: np.random.Generator,
     m: int,
     dt: float,
-    scheme: str,
     keep_paths: bool = False,
     track_cost: bool = False,
     chunk: int = 2000,
 ):
-    """Co-simulate (B_n, Z_{N,n}) on the active modes |n| <= N; the Brownian
-    endpoints of the spectator modes above the cutoff are drawn in one shot
-    (their law at t = 1 is the same and nothing couples to them in time).
-
-    scheme 'euler' is Euler-Maruyama on dZ = a (c B - Z) dt; scheme 'exact'
-    uses the exact joint Gaussian update of (B, X) with X = cB - Z, which is
-    an OU process driven by c dB.  Returns (b_final, z_final, cost, steps,
+    """Euler-Maruyama co-simulation of (B_n, Z_{N,n}), dZ = a (c B - Z) dt, on
+    the active modes |n| <= N; the Brownian endpoints of the spectator modes
+    above the cutoff are drawn in one shot (their law at t = 1 is the same and
+    nothing couples to them in time).  Returns (b_final, z_final, cost, steps,
     dt, active, paths_b, paths_z) with full-box final arrays.
     """
-    if scheme not in ("euler", "exact"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     geo = params.geometry
     modes = geo.modes
     n_modes = modes.size
@@ -200,29 +194,19 @@ def _ou_stepper(
     dt = 1.0 / steps
     w_act = geo.bracket(params.alpha)[active]
     noise_scale = math.sqrt(dt / 2.0)
-    if scheme == "euler":
-        k_decay = 1.0 - dt * a_act
-        k_drive = dt * a_act * c_act
-    else:
-        var_i = (1.0 - np.exp(-2.0 * a_act * dt)) / (2.0 * a_act)
-        cov = (1.0 - np.exp(-a_act * dt)) / a_act
-        slope = cov / dt
-        resid = np.sqrt(np.maximum(var_i - cov**2 / dt, 0.0))
-        decay = np.exp(-a_act * dt)
+    k_decay = 1.0 - dt * a_act
+    k_drive = dt * a_act * c_act
 
     b_final = np.zeros((m, n_modes), dtype=np.complex128)
     z_final = np.zeros((m, n_modes), dtype=np.complex128)
     cost_acc = np.zeros(m)
     paths_b = paths_z = None
 
-    want_z_steps = track_cost or keep_paths
     for lo in range(0, m, chunk):
         hi = min(lo + chunk, m)
         mm = hi - lo
         b = np.zeros((mm, n_act), dtype=np.complex128)
         z = np.zeros((mm, n_act), dtype=np.complex128)
-        if scheme == "exact":
-            x = np.zeros((mm, n_act), dtype=np.complex128)
         if keep_paths and lo == 0:
             paths_b = [b[0].copy()]
             paths_z = [z[0].copy()]
@@ -231,30 +215,15 @@ def _ou_stepper(
                 gen.standard_normal((mm, n_act))
                 + 1j * gen.standard_normal((mm, n_act))
             )
-            if scheme == "euler":
-                z_new = k_decay * z + k_drive * b
-                b += noise
-            else:
-                xi = (
-                    gen.standard_normal((mm, n_act))
-                    + 1j * gen.standard_normal((mm, n_act))
-                ) / math.sqrt(2.0)
-                x *= decay
-                x += c_act * (slope * noise + resid * xi)
-                b += noise
-                z_new = c_act * b - x if want_z_steps else None
-            if want_z_steps:
-                if track_cost:
-                    dz = (z_new - z) / dt
-                    cost_acc[lo:hi] += dt * np.sum(w_act * np.abs(dz) ** 2, axis=1)
-                z = z_new
-                if keep_paths and lo == 0:
-                    paths_b.append(b[0].copy())
-                    paths_z.append(z[0].copy())
-            elif scheme == "euler":
-                z = z_new
-        if scheme == "exact" and not want_z_steps:
-            z = c_act * b - x
+            z_new = k_decay * z + k_drive * b
+            b += noise
+            if track_cost:
+                dz = (z_new - z) / dt
+                cost_acc[lo:hi] += dt * np.sum(w_act * np.abs(dz) ** 2, axis=1)
+            z = z_new
+            if keep_paths and lo == 0:
+                paths_b.append(b[0].copy())
+                paths_z.append(z[0].copy())
         b_final[lo:hi, active] = b
         z_final[lo:hi, active] = z
     # spectator modes: only B(1) ~ CN(0, 1) is ever used downstream
@@ -266,15 +235,13 @@ def _ou_stepper(
     return b_final, z_final, cost_acc, steps, dt, active, paths_b, paths_z
 
 
-def simulate_drift(
-    config: VariationalConfig, rng: RngStream, scheme: str = "euler"
-) -> DriftPath:
+def simulate_drift(config: VariationalConfig, rng: RngStream) -> DriftPath:
     """One realization of the coupled Brownian / OU mode paths on [0, 1]."""
     params = config.params
     dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)
     gen = rng.generator()
     _, _, _, steps, dt, active, pb, pz = _ou_stepper(
-        params, gen, 1, dt, scheme, keep_paths=True
+        params, gen, 1, dt, keep_paths=True
     )
     times = np.linspace(0.0, 1.0, steps + 1)
     return DriftPath(
@@ -317,6 +284,40 @@ def ou_gap_oracle(params: ModelParams) -> float:
     return float(inner + outer) / TWO_PI
 
 
+def ou_gap_variance(params: ModelParams, dt: float, scheme: str) -> np.ndarray:
+    """Variance v_n of the gap <n>^(-alpha/2) B_n(1) - Z_{N,n}(1) ~ CN(0, v_n)
+    over the box, from the second moments of the K = round(1/dt) step chain:
+    'euler' iterates (B, Z) of `_ou_stepper`, 'exact' the exact update of
+    X = cB - Z, an OU process driven by c dB.  Spectators keep <n>^(-alpha)."""
+    if scheme not in ("euler", "exact"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    geo = params.geometry
+    active = np.abs(geo.modes) <= params.n_cut
+    c = geo.bracket(-params.alpha / 2.0)[active]
+    a = ou_rates(params)[active]
+    steps = int(round(1.0 / dt))
+    dt = 1.0 / steps
+    if scheme == "euler":
+        k_decay, k_drive = 1.0 - dt * a, dt * a * c
+        sbb = sbz = szz = np.zeros_like(a)
+        for _ in range(steps):
+            szz, sbz, sbb = (
+                k_decay**2 * szz + 2.0 * k_decay * k_drive * sbz + k_drive**2 * sbb,
+                k_decay * sbz + k_drive * sbb,
+                sbb + dt,
+            )
+        gap = c**2 * sbb - 2.0 * c * sbz + szz
+    else:
+        decay = np.exp(-a * dt)
+        var_i = (1.0 - np.exp(-2.0 * a * dt)) / (2.0 * a)
+        gap = np.zeros_like(a)
+        for _ in range(steps):
+            gap = decay**2 * gap + c**2 * var_i
+    v = geo.bracket(-params.alpha)
+    v[active] = gap
+    return v
+
+
 def simulate_ou_gap(
     params: ModelParams,
     m: int,
@@ -326,13 +327,13 @@ def simulate_ou_gap(
 ) -> np.ndarray:
     """Per-sample spatial mean of |Y(1,x) - Z_N(1,x)|^2, i.e. the Parseval
     sum (2pi)^(-1) sum_n |<n>^(-alpha/2) B_n(1) - Z_{N,n}(1)|^2 over the
-    retained box; its expectation is `ou_gap_oracle`."""
-    params_dt = dt if dt is not None else stability_dt(params)
+    retained box, drawn from the endpoint law of the chosen scheme (see
+    `ou_gap_variance`); for 'exact' its expectation is `ou_gap_oracle`."""
+    v = ou_gap_variance(params, dt if dt is not None else stability_dt(params), scheme)
     gen = rng.generator()
-    b, z, _, _, _, _, _, _ = _ou_stepper(params, gen, m, params_dt, scheme)
-    c = params.geometry.bracket(-params.alpha / 2.0)
-    gap = c * b - z
-    return np.sum(np.abs(gap) ** 2, axis=1) / TWO_PI
+    n = v.size
+    g2 = gen.standard_normal((m, n)) ** 2 + gen.standard_normal((m, n)) ** 2
+    return (g2 @ (0.5 * v)) / TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,7 @@ def objective_estimate(config: VariationalConfig, rng: RngStream) -> ObjectiveRe
     dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)
     gen = rng.generator()
     b, z, cost_z, _, _, _, _, _ = _ou_stepper(
-        params, gen, config.m, dt, "euler", track_cost=True
+        params, gen, config.m, dt, track_cost=True
     )
     c = geo.bracket(-params.alpha / 2.0)
     y1 = c * b

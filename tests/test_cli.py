@@ -262,15 +262,6 @@ class TestCli:
                 },
                 "max_weight_fraction",
             ),
-            # the flow overflows
-            (
-                "evolve",
-                {
-                    "params": {"alpha": 2.0, "beta": 50.0, "gamma": 1.0, "n_cut": 4},
-                    "flow": {"dt": 0.01, "t_final": 0.05},
-                },
-                "mass_drift",
-            ),
         ],
     )
     def test_non_finite_result_exits_one(self, tmp_path, capsys, experiment, over, path):
@@ -284,6 +275,23 @@ class TestCli:
         assert err.startswith("gnls: error:") and err.count("\n") == 1, err
         assert path in err
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_non_finite_flow_exits_one_before_output(self, tmp_path, capsys):
+        # beta = 50 overflows the flow in its first step
+        cfg = sample_config(
+            tmp_path,
+            experiment="evolve",
+            params={"alpha": 2.0, "beta": 50.0, "gamma": 1.0, "n_cut": 4},
+            flow={"dt": 0.01, "t_final": 0.05},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["evolve", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnls: error: the flow is not finite at step 1 (t = 0.01)\n"
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "snapshots").exists()
 
     def test_unknown_nested_keys_exit_one(self, tmp_path, capsys):
         blocks = {

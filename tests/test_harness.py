@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,26 @@ class TestInvariance:
             rep = invariance_test(p, cfg, 0.5, 600, RngStream(900 + seed))
             fails += 0 if rep.passed else 1
         assert fails <= 1
+
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, t, seed",
+        [
+            # every Gibbs weight exp(-200 V) underflows: the ess and every
+            # weighted mean are 0/0
+            (2.5, 0.2, 200.0, 0.02, 7),
+            # the flow overflows on 197 of 200 rows: the ess is finite but
+            # the differences and their stderr are NaN
+            (2.0, 5.0, 1.0, 0.05, 3),
+        ],
+    )
+    def test_non_finite_statistics_do_not_pass(self, alpha, beta, gamma, t, seed):
+        geo = TorusGeometry(d=1, n_max=4)
+        p = ModelParams(d=1, alpha=alpha, beta=beta, gamma=gamma, n_cut=4, geometry=geo)
+        cfg = FlowConfig(params=p, dt=0.01, t_final=t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rep = invariance_test(p, cfg, t, 200, RngStream(seed))
+        assert not rep.passed
 
     def test_requires_defocusing(self):
         p, cfg = small_invariance_setup()

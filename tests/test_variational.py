@@ -19,7 +19,12 @@ from gnls import (
     to_grid_array,
 )
 from gnls.spectral import TWO_PI
-from gnls.variational import VariationalConfig, bump_coeffs
+from gnls.variational import (
+    VariationalConfig,
+    _ou_stepper,
+    bump_coeffs,
+    ou_gap_variance,
+)
 
 
 def make_params(n_cut, alpha=2.0, beta=0.5, gamma=-1.0, n_max=None):
@@ -123,6 +128,53 @@ class TestDriftPaths:
         b = simulate_ou_gap(p, 4000, RngStream(7), scheme="exact")
         se = math.hypot(a.std(ddof=1) / 63.2, b.std(ddof=1) / 63.2)
         assert abs(a.mean() - b.mean()) <= 4 * se
+
+
+class TestGapLaw:
+    """The endpoint law that `simulate_ou_gap` draws from, per scheme."""
+
+    def test_exact_recursion_is_the_oracle(self):
+        # the per-step exact update iterated K times sums to the Ito isometry
+        for alpha in (2.0, 2.5):
+            for n_cut in (4, 16, 64):
+                geo = TorusGeometry(d=1, n_max=2 * n_cut, oversampling=1.0)
+                p = ModelParams(
+                    d=1, alpha=alpha, beta=0.5, gamma=-1.0, n_cut=n_cut, geometry=geo
+                )
+                v = ou_gap_variance(p, stability_dt(p), "exact")
+                assert v.sum() / TWO_PI == pytest.approx(ou_gap_oracle(p), rel=1e-12)
+
+    def test_euler_recursion_matches_path_simulator(self):
+        # ties the recursion to the Euler path simulator behind
+        # objective_estimate and simulate_drift; the modes are independent,
+        # so the pooled ratio sees a 1% per-mode error the 4-SE per-mode
+        # comparison alone can miss
+        p = make_params(4, n_max=8)
+        m, dt = 20000, stability_dt(p)
+        b, z, _, _, _, active, _, _ = _ou_stepper(p, RngStream(30).generator(), m, dt)
+        c = p.geometry.bracket(-p.alpha / 2.0)
+        g2 = np.abs(c * b - z)[:, active] ** 2
+        v = ou_gap_variance(p, dt, "euler")[active]
+        se = g2.std(axis=0, ddof=1) / math.sqrt(m)
+        assert np.all(np.abs(g2.mean(axis=0) - v) <= 4 * se)
+        ratio = (g2 / v).mean(axis=1)
+        assert abs(ratio.mean() - 1.0) <= 4 * ratio.std(ddof=1) / math.sqrt(m)
+
+    def test_euler_bias_at_criterion_7b_cell(self):
+        geo = TorusGeometry(d=1, n_max=128, oversampling=1.0)
+        p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=-1.0, n_cut=64, geometry=geo)
+        mean = ou_gap_variance(p, stability_dt(p), "euler").sum() / TWO_PI
+        assert mean == pytest.approx(0.0145503, abs=1e-6)
+        assert ou_gap_oracle(p) == pytest.approx(0.0144233, abs=1e-6)
+
+    def test_spectators_and_scheme_check(self):
+        p = make_params(4, n_max=8)
+        outside = np.abs(p.geometry.modes) > 4
+        for scheme in ("euler", "exact"):
+            v = ou_gap_variance(p, stability_dt(p), scheme)
+            assert np.array_equal(v[outside], p.geometry.bracket(-p.alpha)[outside])
+        with pytest.raises(ValueError):
+            ou_gap_variance(p, stability_dt(p), "milstein")
 
 
 class TestDriftCost:
