@@ -1,9 +1,10 @@
-"""Rewrite tests/golden/hashes.json from the current code.
+"""Rewrite entries of tests/golden/hashes.json from the current code.
 
-    PYTHONPATH=src python tests/golden/make_hashes.py
+    PYTHONPATH=src python tests/golden/make_hashes.py [case ...]
 
-Runs every case of tests/test_golden.py at GNLS_THREADS=1 and 2 and
-refuses to write when the two thread counts disagree.
+Runs each named case of tests/test_golden.py (every case when none is named)
+at GNLS_THREADS=1 and 2, refuses to write when the two thread counts
+disagree, and leaves the entries of the other cases as they are.
 """
 
 import json
@@ -17,9 +18,16 @@ sys.path.insert(0, os.path.dirname(HERE))
 from test_golden import CONFIGS, HASHES, run_subcommand  # noqa: E402
 
 
-def main() -> int:
+def main(names) -> int:
+    unknown = sorted(set(names) - set(CONFIGS))
+    if unknown:
+        print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
+        return 1
     hashes = {}
-    for name in sorted(CONFIGS):
+    if names and os.path.exists(HASHES):
+        with open(HASHES) as fh:
+            hashes = json.load(fh)
+    for name in sorted(names or CONFIGS):
         results = []
         for threads in ("1", "2"):
             os.environ["GNLS_THREADS"] = threads
@@ -37,4 +45,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

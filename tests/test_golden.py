@@ -2,11 +2,12 @@
 write byte-identical artifacts and exit with the pinned code, at one and at
 two worker threads.  `gnls sample` has two more cases: rejection mode, and
 non-default observables (which must leave the fixed `ensemble.csv` columns
-alone).
+alone).  Three d = 2 cases (sample, collocation evolve on a 36-point grid,
+invariance) guard the two-dimensional transforms and mode indexing.
 
 The SHA-256 of each artifact and the exit code live in
-`tests/golden/hashes.json`; `python tests/golden/make_hashes.py` rewrites
-that file.  A change that moves an artifact on purpose regenerates it and
+`tests/golden/hashes.json`; `python tests/golden/make_hashes.py [case ...]`
+rewrites the named entries of that file (all of them when none is named).  A change that moves an artifact on purpose regenerates it and
 names the moved artifacts and the reason in CHANGES.md.
 """
 
@@ -24,6 +25,7 @@ HASHES = os.path.join(os.path.dirname(__file__), "golden", "hashes.json")
 
 _LOW = {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 4}
 _SAMPLE = {"experiment": "sample", "seed": 7, "ensemble": 40, "params": _LOW}
+_D2 = {"d": 2, "alpha": 2.5, "beta": 0.2, "gamma": 1.0, "n_cut": 3}
 
 # the cases by name, each config naming its subcommand; the invariance
 # ensemble exceeds the 1024-row chunk so that two threads really split it, and
@@ -80,6 +82,27 @@ CONFIGS = {
         "params": {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 16},
         "flow": {"dt": 0.01, "t_final": 0.05},
         "truncation": {"n_ladder": [4, 8], "n_ref": 16},
+    },
+    "sample-d2": {
+        **_SAMPLE,
+        "params": _D2,
+        "observables": {"s_norms": [0.5], "mode_powers": [0, 1, 2]},
+    },
+    # n_max 4 puts the default grid at 36 points per axis
+    "evolve-d2": {
+        "experiment": "evolve",
+        "seed": 1,
+        "mode": "collocation",
+        "params": {**_D2, "n_max": 4},
+        "flow": {"dt": 0.01, "t_final": 0.05, "store_every": 2},
+    },
+    "invariance-d2": {
+        "experiment": "invariance",
+        "seed": 0,
+        "ensemble": 1100,
+        "t_horizon": 0.05,
+        "params": _D2,
+        "flow": {"dt": 0.01},
     },
 }
 
