@@ -67,7 +67,6 @@ class FlowConfig:
     dispersion_symbol: str = "bracket"
     scheme: str = "strang"
     store_every: int = 1
-    s_norms: tuple = (0.5,)
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -105,6 +104,14 @@ def linear_phase_array(coeffs: np.ndarray, t: float, omega: np.ndarray) -> np.nd
     return coeffs * np.exp(-2j * t * omega)
 
 
+def gauge_frequency(absq: np.ndarray, params: ModelParams, axes) -> np.ndarray:
+    """The gauge frequency G = 2 gamma beta A[(1+beta|u|^2) e^{beta|u|^2}] from
+    grid samples |u|^2, A the mean over `axes` (kept as length-one axes)."""
+    b = params.beta
+    mean = np.mean((1.0 + b * absq) * np.exp(b * absq), axis=axes, keepdims=True)
+    return 2.0 * params.gamma * b * mean
+
+
 def collocation_phase_array(
     geometry: TorusGeometry,
     coeffs: np.ndarray,
@@ -113,19 +120,13 @@ def collocation_phase_array(
     gauge_shift: bool = False,
 ) -> np.ndarray:
     """Exact nonlinear phase on the grid; with gauge_shift=True the spatially
-    constant gauge frequency 2 gamma beta A[(1+beta|u|^2) e^{beta|u|^2}] is
-    subtracted (the gauged equation's extra substep)."""
+    constant `gauge_frequency` is subtracted (the gauged equation's extra
+    substep)."""
     values = to_grid_array(geometry, coeffs)
     absq = np.abs(values) ** 2
     freq = 2.0 * params.gamma * params.beta * np.exp(params.beta * absq)
     if gauge_shift:
-        axes = tuple(range(-geometry.d, 0))
-        mean = np.mean(
-            (1.0 + params.beta * absq) * np.exp(params.beta * absq),
-            axis=axes,
-            keepdims=True,
-        )
-        freq = freq - 2.0 * params.gamma * params.beta * mean
+        freq = freq - gauge_frequency(absq, params, geometry.axes)
     values = values * np.exp(-1j * t * freq)
     return from_grid_array(geometry, values)
 
@@ -190,10 +191,10 @@ def _macro_step(
 
 
 def _diagnostics(
-    geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig, step: int, t: float
+    geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig, mask: np.ndarray,
+    step: int, t: float,
 ) -> dict:
     p = cfg.params
-    mask = geometry.euclid_mask(p.n_cut)
     out = {"mass": float(mass_array(geometry, coeffs))}
     v = float(potential_array(geometry, coeffs * mask, p.beta))
     # the conserved energy of the flow (= the measure exponent), carrying the
@@ -201,8 +202,7 @@ def _diagnostics(
     kin = float(kinetic_sum_array(geometry, coeffs, p.alpha, cfg.dispersion_symbol))
     out["potential"] = v
     out["hamiltonian"] = kin + p.gamma * v
-    for s in cfg.s_norms:
-        out[f"h{s}_norm"] = float(sobolev_norm_array(geometry, coeffs, s))
+    out["h0.5_norm"] = float(sobolev_norm_array(geometry, coeffs, 0.5))
     # a finite mass means finite coefficients: no further reduction is needed
     if not all(map(math.isfinite, out.values())):
         raise ValueError(f"the flow is not finite at step {step} (t = {t:g})")
@@ -225,12 +225,12 @@ def evolve(
     times = [0.0]
     snaps = [SpectralField(geometry, coeffs.copy())]
     snap_times = [0.0]
-    diags = [_diagnostics(geometry, coeffs, cfg, 0, 0.0)]
+    diags = [_diagnostics(geometry, coeffs, cfg, mask, 0, 0.0)]
     for k in range(1, n_steps + 1):
         coeffs = _macro_step(geometry, coeffs, cfg, mode, omega, mask, dt, gauge_shift)
         t = k * dt
         times.append(t)
-        diags.append(_diagnostics(geometry, coeffs, cfg, k, t))
+        diags.append(_diagnostics(geometry, coeffs, cfg, mask, k, t))
         if k % cfg.store_every == 0 or k == n_steps:
             snaps.append(SpectralField(geometry, coeffs.copy()))
             snap_times.append(t)
@@ -244,7 +244,8 @@ def evolve_ensemble(
     geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig, mode: str = "galerkin"
 ) -> np.ndarray:
     """Batched endpoint evolution (no trajectory storage); coeffs has shape
-    (m, *box) and the same macro stepping as `evolve` is applied to all rows."""
+    (m, *box) and the same macro stepping as `evolve` is applied to all rows.
+    Raises ValueError if any row of the endpoint is not finite."""
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     omega = dispersion_weights(geometry, cfg.params.alpha, cfg.dispersion_symbol)
@@ -252,6 +253,13 @@ def evolve_ensemble(
     a = np.array(coeffs, dtype=np.complex128)
     for _ in range(n_steps):
         a = _macro_step(geometry, a, cfg, mode, omega, mask, dt)
+    # NaN and infinity persist under the flow, so the endpoint shows any overflow
+    bad = ~np.isfinite(a).all(axis=geometry.axes)
+    if bad.any():
+        raise ValueError(
+            f"the flow is not finite on {np.count_nonzero(bad)} of {bad.size} rows"
+            f" by t = {n_steps * dt:g}"
+        )
     return a
 
 

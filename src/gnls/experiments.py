@@ -101,8 +101,7 @@ def run_moments(config: ExperimentConfig) -> RunResult:
     gen = rng.generator()
     coeffs = sample_gaussian_coeffs(params, gen, config.moments.samples)
     # field value at x = 0: (2pi)^(-d/2) sum a_n
-    axes = tuple(range(-params.geometry.d, 0))
-    u0 = np.sum(coeffs, axis=axes) / TWO_PI ** (params.geometry.d / 2.0)
+    u0 = np.sum(coeffs, axis=params.geometry.axes) / TWO_PI ** (params.geometry.d / 2.0)
     absq = np.abs(u0) ** 2
     rows = []
     worst = 0.0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import FlowConfig, Trajectory, evolve
+from .dynamics import FlowConfig, Trajectory, evolve, gauge_frequency
 from .measures import ModelParams
 from .spectral import SpectralField, TWO_PI, to_grid_array
 
@@ -110,18 +110,10 @@ def mean_functional(f) -> complex:
     raise TypeError(f"unsupported input {type(f)!r}")
 
 
-def gauge_value_grid(absq: np.ndarray, params: ModelParams, axes=None) -> np.ndarray:
-    """G from pointwise |u|^2 samples: 2 gamma beta * mean((1+beta x) e^{beta x})."""
-    b = params.beta
-    integrand = (1.0 + b * absq) * np.exp(b * absq)
-    mean = np.mean(integrand, axis=axes) if axes is not None else np.mean(integrand)
-    return 2.0 * params.gamma * b * mean
-
-
 def gauge_value(u: SpectralField, params: ModelParams) -> float:
     """Closed-form gauge frequency G(u) = 2 gamma beta A[(1+beta|u|^2)e^{beta|u|^2}]."""
-    values = to_grid_array(u.geometry, u.coeffs)
-    return float(gauge_value_grid(np.abs(values) ** 2, params))
+    absq = np.abs(to_grid_array(u.geometry, u.coeffs)) ** 2
+    return gauge_frequency(absq, params, u.geometry.axes).item()
 
 
 def gauge_value_series(u: SpectralField, params: ModelParams, terms: int = 50) -> float:

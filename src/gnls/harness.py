@@ -290,11 +290,9 @@ def observable_matrix(
     for s in s_norms:
         out[f"h{s}_norm"] = sobolev_norm_array(geometry, coeffs, s)
     center = geometry.n_max
-    for n in mode_powers:
-        if geometry.d == 1:
-            out[f"mode_power_{n}"] = np.abs(coeffs[..., center + n]) ** 2
-        else:
-            out[f"mode_power_{n}"] = np.abs(coeffs[..., center + n, center]) ** 2
+    for n in mode_powers:  # the power of mode (n, 0, ..., 0)
+        index = (..., center + n, *(center,) * (geometry.d - 1))
+        out[f"mode_power_{n}"] = np.abs(coeffs[index]) ** 2
     return out
 
 
@@ -318,6 +316,9 @@ class InvarianceReport:
 
 def _paired_stats(diffs: np.ndarray, weights: np.ndarray, scale: float = 1.0):
     est, se, ess = weighted_mean_stderr(diffs, weights)
+    # underflowing weights or an overflowing flow leave no statistic to test
+    if not (math.isfinite(est) and math.isfinite(se)):
+        return est, se, math.nan, ess
     # observables conserved to machine precision have diffs of pure roundoff;
     # their z-statistic is 0/0 noise, so report an exact pass instead
     if np.max(np.abs(diffs)) <= 1e-12 * max(scale, 1e-300):
@@ -374,7 +375,6 @@ def invariance_test(
         geometry, coeffs_t, params, cfg.dispersion_symbol, s_norms, mode_powers
     )
     report = {}
-    max_z = 0.0
     ess = float(m)
     for name in obs0:
         diffs = obs_t[name] - obs0[name]
@@ -388,7 +388,7 @@ def invariance_test(
             "stderr": se,
             "z": z,
         }
-        max_z = max(max_z, abs(z))
+    max_z = float(np.max([abs(d["z"]) for d in report.values()]))  # NaN if any z is
 
     control_weights = gibbs_weight_array(
         params, coeffs0, beta=control_beta_factor * params.beta
@@ -396,8 +396,6 @@ def invariance_test(
     cdiffs = obs_t[control_observable] - obs0[control_observable]
     cscale = float(np.mean(np.abs(obs0[control_observable])) * 2.0)
     _, _, cz, _ = _paired_stats(cdiffs, control_weights, cscale)
-    # underflowing weights or an overflowing flow leave NaN statistics, which
-    # max() skips and _paired_stats turns into z = 0 when the stderr is NaN
     stats = [ess, cz, *(v for d in report.values() for v in d.values())]
 
     return InvarianceReport(

@@ -131,8 +131,7 @@ def sample_gaussian(params: ModelParams, rng: RngStream) -> SpectralField:
 
 def mass_array(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
     """J(u) = (1/2) int |u|^2 dx = (1/2) sum |a_n|^2."""
-    axes = tuple(range(-geometry.d, 0))
-    return 0.5 * np.sum(np.abs(coeffs) ** 2, axis=axes)
+    return 0.5 * np.sum(np.abs(coeffs) ** 2, axis=geometry.axes)
 
 
 def potential_array(
@@ -143,9 +142,8 @@ def potential_array(
 ) -> np.ndarray:
     """V_beta by grid quadrature of exp(beta |u|^2), optionally min(V, clip)."""
     values = to_grid_array(geometry, coeffs)
-    axes = tuple(range(-geometry.d, 0))
     v = geometry.quad_weight() * np.sum(
-        np.exp(beta * np.abs(values) ** 2), axis=axes
+        np.exp(beta * np.abs(values) ** 2), axis=geometry.axes
     )
     if clip is not None:
         v = np.minimum(v, clip)
@@ -159,8 +157,7 @@ def kinetic_sum_array(
     `dispersion_weights`; the flow conserves it plus gamma V_beta, and
     half of it is the kinetic part of the `hamiltonian` observable."""
     w = dispersion_weights(geometry, alpha, symbol)
-    axes = tuple(range(-geometry.d, 0))
-    return np.sum(w * np.abs(coeffs) ** 2, axis=axes)
+    return np.sum(w * np.abs(coeffs) ** 2, axis=geometry.axes)
 
 
 def gibbs_weight_array(params: ModelParams, coeffs: np.ndarray, beta: float | None = None) -> np.ndarray:
@@ -303,19 +300,14 @@ def tail_fit(
         n1, n2 = band
         inc = geo.euclid_mask(n2) & ~geo.euclid_mask(n1)
         coeffs = coeffs * inc
-    w = geo.bracket(s)
-    if math.isinf(r):
-        values = to_grid_array(geo, coeffs * w)
-        axes = tuple(range(-geo.d, 0))
-        norms = np.max(np.abs(values), axis=axes)
-    elif r == 2.0:
+    if r == 2.0:
         norms = sobolev_norm_array(geo, coeffs, s)
     else:
-        values = to_grid_array(geo, coeffs * w)
-        axes = tuple(range(-geo.d, 0))
-        norms = (
-            geo.quad_weight() * np.sum(np.abs(values) ** r, axis=axes)
-        ) ** (1.0 / r)
+        values = np.abs(to_grid_array(geo, coeffs * geo.bracket(s)))
+        if math.isinf(r):
+            norms = np.max(values, axis=geo.axes)
+        else:
+            norms = (geo.quad_weight() * np.sum(values**r, axis=geo.axes)) ** (1.0 / r)
     r_grid = np.asarray(r_grid, dtype=float)
     freq = np.array([(norms > rr).mean() for rr in r_grid])
     ok = freq > 0

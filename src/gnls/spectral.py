@@ -12,6 +12,7 @@ dimensions (the torus axes are always the trailing ones).
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -82,12 +83,20 @@ class TorusGeometry:
         """Collocation points along one axis."""
         return TWO_PI * np.arange(self.m_grid) / self.m_grid
 
+    @property
+    def axes(self) -> tuple[int, ...]:
+        """The trailing torus axes of a coefficient or grid array."""
+        return tuple(range(-self.d, 0))
+
+    @functools.cached_property
+    def box_index(self) -> tuple:
+        """Index of the box modes among the FFT bins (bin n mod m_grid)."""
+        return (Ellipsis, *np.ix_(*[np.mod(self.modes, self.m_grid)] * self.d))
+
     def mode_abs2(self) -> np.ndarray:
         """|n|^2 over the coefficient box."""
-        n = self.modes
-        if self.d == 1:
-            return (n * n).astype(float)
-        return (n * n)[:, None] + (n * n)[None, :]
+        n2 = self.modes.astype(float) ** 2
+        return functools.reduce(np.add.outer, [n2] * self.d)
 
     def bracket(self, power: float = 1.0) -> np.ndarray:
         """<n>^power = (1+|n|^2)^(power/2) over the box."""
@@ -127,12 +136,8 @@ class SpectralField:
     ) -> "SpectralField":
         """Build a field from {mode: coefficient}; modes are ints (d=1) or tuples."""
         u = cls.zero(geometry)
-        n_max = geometry.n_max
         for n, c in entries.items():
-            if geometry.d == 1:
-                u.coeffs[n + n_max] = c
-            else:
-                u.coeffs[n[0] + n_max, n[1] + n_max] = c
+            u.coeffs[tuple(np.atleast_1d(n) + geometry.n_max)] = c
         return u
 
     def copy(self) -> "SpectralField":
@@ -147,48 +152,27 @@ class SpectralField:
 # ---------------------------------------------------------------------------
 
 
-def _embed_indices(geometry: TorusGeometry) -> np.ndarray:
-    """FFT bin of each box mode: n mod m_grid."""
-    return np.mod(geometry.modes, geometry.m_grid)
+# One 1d FFT per torus axis, last axis first as np.fft.ifftn does (ifftn costs
+# twice as much per call on one row).  The scale (2pi)^(-d/2) * m * ... * m is
+# multiplied left to right; (2pi)^(-d/2) * m**d differs in the last bit.
 
 
 def to_grid_array(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
     """Synthesize grid values from box coefficients (orthonormal basis)."""
-    m = geometry.m_grid
-    idx = _embed_indices(geometry)
-    norm = TWO_PI ** (-geometry.d / 2.0)
-    if geometry.d == 1:
-        spec = np.zeros(coeffs.shape[:-1] + (m,), dtype=np.complex128)
-        spec[..., idx] = coeffs
-        return norm * m * np.fft.ifft(spec, axis=-1)
-    spec = np.zeros(coeffs.shape[:-2] + (m, m), dtype=np.complex128)
-    spec[..., idx[:, None], idx[None, :]] = coeffs
-    return norm * m * m * np.fft.ifft2(spec, axes=(-2, -1))
+    spec = np.zeros(coeffs.shape[: -geometry.d] + geometry.grid_shape, dtype=np.complex128)
+    spec[geometry.box_index] = coeffs
+    for axis in reversed(geometry.axes):
+        spec = np.fft.ifft(spec, axis=axis)
+    return math.prod((TWO_PI ** (-geometry.d / 2), *geometry.grid_shape)) * spec
 
 
-def from_grid_array(
-    geometry: TorusGeometry, values: np.ndarray, n_cut: int | None = None
-) -> np.ndarray:
-    """Analyze grid values into box coefficients, zeroing |n|_inf > n_cut."""
-    if n_cut is None:
-        n_cut = geometry.n_max
-    m = geometry.m_grid
-    idx = _embed_indices(geometry)
-    norm = TWO_PI ** (geometry.d / 2.0)
-    if geometry.d == 1:
-        spec = np.fft.fft(values, axis=-1)
-        coeffs = norm / m * spec[..., idx]
-        if n_cut < geometry.n_max:
-            keep = np.abs(geometry.modes) <= n_cut
-            coeffs = np.where(keep, coeffs, 0.0)
-        return coeffs
-    spec = np.fft.fft2(values, axes=(-2, -1))
-    coeffs = norm / (m * m) * spec[..., idx[:, None], idx[None, :]]
-    if n_cut < geometry.n_max:
-        keep1 = np.abs(geometry.modes) <= n_cut
-        keep = keep1[:, None] & keep1[None, :]
-        coeffs = np.where(keep, coeffs, 0.0)
-    return coeffs
+def from_grid_array(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
+    """Analyze grid values into box coefficients (orthonormal basis)."""
+    spec = values
+    for axis in reversed(geometry.axes):
+        spec = np.fft.fft(spec, axis=axis)
+    norm = TWO_PI ** (geometry.d / 2) / math.prod(geometry.grid_shape)
+    return norm * spec[geometry.box_index]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +218,7 @@ def sobolev_norm_array(
 ) -> np.ndarray:
     """H^s norm: (sum <n>^{2s} |a_n|^2)^(1/2)."""
     w = geometry.bracket(2.0 * s)
-    axes = tuple(range(-geometry.d, 0))
-    return np.sqrt(np.sum(w * np.abs(coeffs) ** 2, axis=axes))
+    return np.sqrt(np.sum(w * np.abs(coeffs) ** 2, axis=geometry.axes))
 
 
 def dispersion_weights(
@@ -325,10 +308,8 @@ def sigma(alpha: float, n_cut: float, d: int) -> float:
         return total / TWO_PI
     if n_cut > 4000:
         raise ValueError("finite 2d cutoff too large; use n_cut=inf")
-    n = np.arange(-int(n_cut), int(n_cut) + 1)
-    abs2 = (n * n)[:, None] + (n * n)[None, :]
-    mask = abs2 <= n_cut**2 + 1e-12
-    total = float(np.sum((1.0 + abs2[mask]) ** (-alpha / 2.0)))
+    geometry = TorusGeometry(2, int(n_cut))
+    total = float(np.sum(geometry.bracket(-alpha)[geometry.euclid_mask(n_cut)]))
     return total / TWO_PI**2
 
 

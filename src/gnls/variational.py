@@ -416,7 +416,7 @@ def divergence_scan(
     if k_mass is None:
         ind = np.ones(m, dtype=bool)
     else:
-        ind = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=tuple(range(-geo.d, 0)))) <= k_mass
+        ind = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=geo.axes)) <= k_mass
     l_values = np.asarray(sorted(l_ladder), dtype=float)
     contrib = np.empty((l_values.size, m))
     for i, l in enumerate(l_values):

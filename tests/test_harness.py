@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -97,9 +98,6 @@ class TestInvariance:
             # every Gibbs weight exp(-200 V) underflows: the ess and every
             # weighted mean are 0/0
             (2.5, 0.2, 200.0, 0.02, 7),
-            # the flow overflows on 197 of 200 rows: the ess is finite but
-            # the differences and their stderr are NaN
-            (2.0, 5.0, 1.0, 0.05, 3),
         ],
     )
     def test_non_finite_statistics_do_not_pass(self, alpha, beta, gamma, t, seed):
@@ -110,6 +108,19 @@ class TestInvariance:
             warnings.simplefilter("ignore", RuntimeWarning)
             rep = invariance_test(p, cfg, t, 200, RngStream(seed))
         assert not rep.passed
+        # a NaN stderr reads as no test at all, never as an exact pass
+        assert math.isnan(rep.max_abs_z) and math.isnan(rep.control_z)
+        assert all(math.isnan(d["z"]) for d in rep.observables.values())
+
+    def test_overflowing_flow_raises(self):
+        # the flow overflows on 197 of 200 rows of this ensemble
+        geo = TorusGeometry(d=1, n_max=4)
+        p = ModelParams(d=1, alpha=2.0, beta=5.0, gamma=1.0, n_cut=4, geometry=geo)
+        cfg = FlowConfig(params=p, dt=0.01, t_final=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValueError, match="not finite on 197 of 200 rows by t = 0.05"):
+                invariance_test(p, cfg, 0.05, 200, RngStream(3))
 
     def test_requires_defocusing(self):
         p, cfg = small_invariance_setup()

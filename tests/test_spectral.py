@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gnls import (
     DivergentSeriesError,
@@ -75,13 +77,34 @@ class TestTransforms:
         exact = np.sum(np.abs(u.coeffs) ** 2)
         assert quad == pytest.approx(exact, rel=1e-10)
 
-    def test_from_grid_truncates(self):
-        geo = TorusGeometry(d=1, n_max=6)
-        u = random_field(geo, GEN)
-        v = from_grid_array(geo, to_grid_array(geo, u.coeffs), n_cut=2)
-        assert np.all(v[np.abs(geo.modes) > 2] == 0)
-        keep = np.abs(geo.modes) <= 2
-        assert np.allclose(v[keep], u.coeffs[keep])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        n_max=st.integers(0, 6),
+        oversampling=st.floats(1.0, 4.0),
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_transform_pair_properties(self, d, n_max, oversampling, batch, seed):
+        geo = TorusGeometry(d=d, n_max=n_max, oversampling=oversampling)
+        gen = np.random.default_rng(seed)
+        shape = (*batch, *geo.box_shape)
+        a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        values = to_grid_array(geo, a)
+        assert values.shape == (*batch, *geo.grid_shape)
+        # the direct sum (2pi)^(-d/2) sum_n a_n e^{i n.x} at every grid point
+        points = np.stack(np.meshgrid(*[geo.x] * d, indexing="ij"), -1).reshape(-1, d)
+        modes = np.stack(np.meshgrid(*[geo.modes] * d, indexing="ij"), -1).reshape(-1, d)
+        basis = np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)
+        direct = a.reshape(*batch, -1) @ basis.T
+        got = values.reshape(*batch, -1)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+        # the round trip and Parseval, row by row
+        back = from_grid_array(geo, values)
+        assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
+        quad = geo.quad_weight() * np.sum(np.abs(got) ** 2, axis=-1)
+        exact = np.sum(np.abs(a.reshape(*batch, -1)) ** 2, axis=-1)
+        assert np.allclose(quad, exact, rtol=1e-12, atol=0)
 
 
 class TestProjectors:
