@@ -131,113 +131,148 @@ def collocation_phase_array(
     return from_grid_array(geometry, values)
 
 
+def _galerkin_work(geometry: TorusGeometry, shape: tuple) -> tuple:
+    """Work buffers of the Galerkin substep for states of `shape`: box, grid,
+    |u|^2 for `galerkin_rhs_array`, then the four RK4 slopes and the stage."""
+    grid = shape[: len(shape) - geometry.d] + geometry.grid_shape
+    box = [np.empty(shape, np.complex128) for _ in range(6)]
+    return (box[0], np.empty(grid, np.complex128), np.empty(grid), *box[1:])
+
+
 def galerkin_rhs_array(
-    geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams, mask: np.ndarray
+    geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams, mask: np.ndarray,
+    out: np.ndarray | None = None, work: tuple | None = None,
 ) -> np.ndarray:
-    low = coeffs * mask
-    values = to_grid_array(geometry, low)
-    values = np.exp(params.beta * np.abs(values) ** 2) * values
-    conv = from_grid_array(geometry, values) * mask
-    return -2j * params.gamma * params.beta * conv
+    """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u], into `out` when given;
+    the first three buffers of `work` (from `_galerkin_work`) are overwritten."""
+    box, grid, absq = (work or _galerkin_work(geometry, coeffs.shape))[:3]
+    values = to_grid_array(geometry, np.multiply(coeffs, mask, out=box), out=grid)
+    np.square(np.abs(values, out=absq), out=absq)
+    np.exp(np.multiply(params.beta, absq, out=absq), out=absq)
+    np.multiply(absq, values, out=values)
+    conv = np.multiply(from_grid_array(geometry, values, out=box), mask, out=box)
+    return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
 
 
 def galerkin_substep_array(
-    geometry: TorusGeometry,
-    coeffs: np.ndarray,
-    t: float,
-    params: ModelParams,
-    substeps: int,
-    mask: np.ndarray,
+    geometry: TorusGeometry, coeffs: np.ndarray, t: float, params: ModelParams,
+    substeps: int, mask: np.ndarray, work: tuple | None = None,
 ) -> np.ndarray:
+    """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`.  The
+    stages run in the buffers `work` of `_galerkin_work`, which a call
+    overwrites; the result is always a fresh array."""
+    work = work or _galerkin_work(geometry, coeffs.shape)
+    k1, k2, k3, k4, stage = work[3:]
     h = t / substeps
     a = coeffs
     for _ in range(substeps):
-        k1 = galerkin_rhs_array(geometry, a, params, mask)
-        k2 = galerkin_rhs_array(geometry, a + 0.5 * h * k1, params, mask)
-        k3 = galerkin_rhs_array(geometry, a + 0.5 * h * k2, params, mask)
-        k4 = galerkin_rhs_array(geometry, a + h * k3, params, mask)
-        a = a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        galerkin_rhs_array(geometry, a, params, mask, k1, work)
+        for c, k, k_next in ((0.5 * h, k1, k2), (0.5 * h, k2, k3), (h, k3, k4)):
+            np.add(a, np.multiply(c, k, out=stage), out=stage)
+            galerkin_rhs_array(geometry, stage, params, mask, k_next, work)
+        # a + (h/6)(((k1 + 2 k2) + 2 k3) + k4), summed in k1
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        np.add(k1, k4, out=k1)
+        a = a + np.multiply(h / 6.0, k1, out=k1)
     return a
 
 
-def _macro_step(
-    geometry: TorusGeometry,
-    coeffs: np.ndarray,
-    cfg: FlowConfig,
-    mode: str,
-    omega: np.ndarray,
-    mask: np.ndarray,
-    dt: float,
+def _flow_step(
+    geometry: TorusGeometry, cfg: FlowConfig, mode: str, dt: float, coeffs: np.ndarray,
     gauge_shift: bool = False,
-) -> np.ndarray:
-    def nonlinear(a, t):
-        if mode == "collocation":
-            return collocation_phase_array(geometry, a, t, cfg.params, gauge_shift)
-        return galerkin_substep_array(
-            geometry, a, t, cfg.params, cfg.nonlinear_substeps, mask
-        )
+):
+    """The macro step of `cfg` for states shaped like `coeffs`, after the
+    pre-flight check that exp(beta |Pi_N u|^2) of `coeffs` is finite.  The
+    linear phase factor and the Galerkin work buffers are made once, here."""
+    p = cfg.params
+    mask = geometry.euclid_mask(p.n_cut)
+    absq = np.abs(to_grid_array(geometry, coeffs * mask)) ** 2
+    peak, limit = p.beta * float(np.max(absq, initial=0.0)), math.log(np.finfo(float).max)
+    if peak > limit:
+        raise ValueError(f"beta max|Pi_N u0|^2 = {peak:.6g} exceeds the exp limit {limit:.6g}")
+    omega = dispersion_weights(geometry, p.alpha, cfg.dispersion_symbol)
+    strang = cfg.scheme == "strang"
+    # Strang: linear(dt/2) o nonlinear(dt) o linear(dt/2); Lie: nonlinear o linear
+    phase = np.exp(-2j * (0.5 * dt if strang else dt) * omega)
+    work = _galerkin_work(geometry, coeffs.shape) if mode == "galerkin" else None
 
-    if cfg.scheme == "strang":
-        a = linear_phase_array(coeffs, 0.5 * dt, omega)
-        a = nonlinear(a, dt)
-        return linear_phase_array(a, 0.5 * dt, omega)
-    a = linear_phase_array(coeffs, dt, omega)
-    return nonlinear(a, dt)
+    def step(a: np.ndarray) -> np.ndarray:
+        a = a * phase
+        if mode == "collocation":
+            a = collocation_phase_array(geometry, a, dt, p, gauge_shift)
+        else:
+            a = galerkin_substep_array(
+                geometry, a, dt, p, cfg.nonlinear_substeps, mask, work
+            )
+        return a * phase if strang else a
+
+    return step
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
+# evolve computes its diagnostics over blocks of states whose grid image is at
+# most this many bytes
+_BLOCK_BYTES = 1 << 20
 
-def _diagnostics(
-    geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig, mask: np.ndarray,
-    step: int, t: float,
+
+def _block_diagnostics(
+    geometry: TorusGeometry, block: np.ndarray, cfg: FlowConfig, mask: np.ndarray
 ) -> dict:
     p = cfg.params
-    out = {"mass": float(mass_array(geometry, coeffs))}
-    v = float(potential_array(geometry, coeffs * mask, p.beta))
+    v = potential_array(geometry, block * mask, p.beta)
     # the conserved energy of the flow (= the measure exponent), carrying the
     # full quadratic sum rather than the half of the invariance observable
-    kin = float(kinetic_sum_array(geometry, coeffs, p.alpha, cfg.dispersion_symbol))
-    out["potential"] = v
-    out["hamiltonian"] = kin + p.gamma * v
-    out["h0.5_norm"] = float(sobolev_norm_array(geometry, coeffs, 0.5))
-    # a finite mass means finite coefficients: no further reduction is needed
-    if not all(map(math.isfinite, out.values())):
-        raise ValueError(f"the flow is not finite at step {step} (t = {t:g})")
-    return out
+    kin = kinetic_sum_array(geometry, block, p.alpha, cfg.dispersion_symbol)
+    return {
+        "mass": mass_array(geometry, block),
+        "potential": v,
+        "hamiltonian": kin + p.gamma * v,
+        "h0.5_norm": sobolev_norm_array(geometry, block, 0.5),
+    }
 
 
 def evolve(
     u0: SpectralField, cfg: FlowConfig, mode: str = "galerkin", gauge_shift: bool = False
 ) -> Trajectory:
     """Integrate to t_final (negative allowed: steps run backward) recording
-    diagnostics at every macro step and snapshots every store_every steps."""
+    diagnostics at every macro step and snapshots every store_every steps.
+    Raises ValueError at the first step whose diagnostics are not finite."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     geometry = u0.geometry
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
-    omega = dispersion_weights(geometry, cfg.params.alpha, cfg.dispersion_symbol)
     mask = geometry.euclid_mask(cfg.params.n_cut)
     coeffs = u0.coeffs.copy()
-    times = [0.0]
+    step = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
+    times = np.zeros(n_steps + 1)
     snaps = [SpectralField(geometry, coeffs.copy())]
     snap_times = [0.0]
-    diags = [_diagnostics(geometry, coeffs, cfg, mask, 0, 0.0)]
-    for k in range(1, n_steps + 1):
-        coeffs = _macro_step(geometry, coeffs, cfg, mode, omega, mask, dt, gauge_shift)
-        t = k * dt
-        times.append(t)
-        diags.append(_diagnostics(geometry, coeffs, cfg, mask, k, t))
-        if k % cfg.store_every == 0 or k == n_steps:
-            snaps.append(SpectralField(geometry, coeffs.copy()))
-            snap_times.append(t)
-    diag_arrays = {
-        name: np.array([d[name] for d in diags]) for name in diags[0]
-    }
-    return Trajectory(geometry, np.array(times), snaps, np.array(snap_times), diag_arrays)
+    rows = max(1, _BLOCK_BYTES // (16 * math.prod(geometry.grid_shape)))
+    block = np.empty((min(rows, n_steps + 1), *coeffs.shape), np.complex128)
+    diags = {}
+    for k in range(n_steps + 1):
+        if k:
+            coeffs = step(coeffs)
+            times[k] = k * dt
+            if k % cfg.store_every == 0 or k == n_steps:
+                snaps.append(SpectralField(geometry, coeffs.copy()))
+                snap_times.append(times[k])
+        block[k % len(block)] = coeffs
+        if k % len(block) == len(block) - 1 or k == n_steps:
+            start = k - k % len(block)
+            values = _block_diagnostics(geometry, block[: k - start + 1], cfg, mask)
+            for name, v in values.items():
+                diags.setdefault(name, np.empty(n_steps + 1))[start : k + 1] = v
+            finite = np.isfinite(np.stack(list(values.values()))).all(axis=0)
+            if not finite.all():
+                bad = start + int(np.argmin(finite))
+                raise ValueError(f"the flow is not finite at step {bad} (t = {times[bad]:g})")
+    return Trajectory(geometry, times, snaps, np.array(snap_times), diags)
 
 
 def evolve_ensemble(
@@ -248,11 +283,10 @@ def evolve_ensemble(
     Raises ValueError if any row of the endpoint is not finite."""
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
-    omega = dispersion_weights(geometry, cfg.params.alpha, cfg.dispersion_symbol)
-    mask = geometry.euclid_mask(cfg.params.n_cut)
     a = np.array(coeffs, dtype=np.complex128)
+    step = _flow_step(geometry, cfg, mode, dt, a)
     for _ in range(n_steps):
-        a = _macro_step(geometry, a, cfg, mode, omega, mask, dt)
+        a = step(a)
     # NaN and infinity persist under the flow, so the endpoint shows any overflow
     bad = ~np.isfinite(a).all(axis=geometry.axes)
     if bad.any():
@@ -296,15 +330,14 @@ def liouville_check(
         nonlinear_substeps=substeps,
         dispersion_symbol=symbol,
     )
-    omega = dispersion_weights(geometry, params.alpha, symbol)
-
     base = probe.coeffs.ravel().copy()
+    macro_step = _flow_step(geometry, cfg, "galerkin", dt, probe.coeffs)
 
     def step(x: np.ndarray) -> np.ndarray:
         a = base.copy()
         a[idx] = x[: idx.size] + 1j * x[idx.size :]
         a = a.reshape(geometry.box_shape)
-        a = _macro_step(geometry, a, cfg, "galerkin", omega, mask, dt)
+        a = macro_step(a)
         flat = a.ravel()[idx]
         return np.concatenate([flat.real, flat.imag])
 

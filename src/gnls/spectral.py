@@ -153,26 +153,38 @@ class SpectralField:
 
 
 # One 1d FFT per torus axis, last axis first as np.fft.ifftn does (ifftn costs
-# twice as much per call on one row).  The scale (2pi)^(-d/2) * m * ... * m is
-# multiplied left to right; (2pi)^(-d/2) * m**d differs in the last bit.
+# twice as much per call on one row), computed in place.  The scale
+# (2pi)^(-d/2) * m * ... * m is multiplied left to right; (2pi)^(-d/2) * m**d
+# differs in the last bit.
 
 
-def to_grid_array(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
-    """Synthesize grid values from box coefficients (orthonormal basis)."""
-    spec = np.zeros(coeffs.shape[: -geometry.d] + geometry.grid_shape, dtype=np.complex128)
-    spec[geometry.box_index] = coeffs
+def to_grid_array(
+    geometry: TorusGeometry, coeffs: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Synthesize grid values from box coefficients (orthonormal basis), into
+    `out` (complex, batch + grid shape) when given."""
+    if out is None:
+        out = np.empty(coeffs.shape[: -geometry.d] + geometry.grid_shape, np.complex128)
+    out.fill(0.0)
+    out[geometry.box_index] = coeffs
     for axis in reversed(geometry.axes):
-        spec = np.fft.ifft(spec, axis=axis)
-    return math.prod((TWO_PI ** (-geometry.d / 2), *geometry.grid_shape)) * spec
+        np.fft.ifft(out, axis=axis, out=out)
+    scale = math.prod((TWO_PI ** (-geometry.d / 2), *geometry.grid_shape))
+    return np.multiply(scale, out, out=out)
 
 
-def from_grid_array(geometry: TorusGeometry, values: np.ndarray) -> np.ndarray:
-    """Analyze grid values into box coefficients (orthonormal basis)."""
-    spec = values
+def from_grid_array(
+    geometry: TorusGeometry, values: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Analyze grid values into box coefficients (orthonormal basis).  With
+    `out` the coefficients go there and the complex `values` is overwritten by
+    its transform; without it a copy of `values` is transformed."""
+    if out is None:
+        values = values.astype(np.complex128)
     for axis in reversed(geometry.axes):
-        spec = np.fft.fft(spec, axis=axis)
+        np.fft.fft(values, axis=axis, out=values)
     norm = TWO_PI ** (geometry.d / 2) / math.prod(geometry.grid_shape)
-    return norm * spec[geometry.box_index]
+    return np.multiply(norm, values[geometry.box_index], out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,23 @@ class TestCli:
         assert not (tmp_path / "out" / "trajectory.csv").exists()
         assert not (tmp_path / "out" / "snapshots").exists()
 
+    def test_overflowing_start_exits_one_before_output(self, tmp_path, capsys):
+        # at beta = 5000, beta max|u0|^2 is in the thousands before any step
+        cfg = sample_config(
+            tmp_path,
+            experiment="evolve",
+            params={"alpha": 2.0, "beta": 5000.0, "gamma": 1.0, "n_cut": 4},
+            flow={"dt": 0.01, "t_final": 0.05},
+        )
+        assert main(["evolve", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("gnls: error: beta max|Pi_N u0|^2 = "), err
+        assert err.endswith(" exceeds the exp limit 709.783\n"), err
+        assert not (tmp_path / "out" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "snapshots").exists()
+
     def test_unknown_nested_keys_exit_one(self, tmp_path, capsys):
         blocks = {
             "moments": {"samplez": 100},

@@ -12,7 +12,10 @@ from gnls import (
     collocation_phase_array,
     dispersion_weights,
     evolve,
+    evolve_ensemble,
+    from_grid_array,
     galerkin_substep_array,
+    kinetic_sum_array,
     linear_phase_array,
     liouville_check,
     mass_array,
@@ -22,7 +25,8 @@ from gnls import (
     to_grid_array,
     truncation_convergence,
 )
-from gnls.dynamics import trajectory_to_csv
+from gnls import dynamics
+from gnls.dynamics import _galerkin_work, trajectory_to_csv
 from gnls.spectral import TWO_PI
 
 from conftest import random_field, smooth_field
@@ -138,6 +142,106 @@ class TestGalerkinSubstep:
         slope = np.polyfit(np.log([0.4 / s for s in subs]), np.log(drift), 1)[0]
         assert 3.8 <= slope <= 5.5
         assert drift[1] / drift[2] >= 12.0
+
+
+def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
+    """The Galerkin substep written with a fresh array per operation, in the
+    operation order `galerkin_substep_array` must keep bit for bit."""
+
+    def rhs(a):
+        values = to_grid_array(geometry, a * mask)
+        values = np.exp(params.beta * np.abs(values) ** 2) * values
+        return -2j * params.gamma * params.beta * (from_grid_array(geometry, values) * mask)
+
+    h = t / substeps
+    for _ in range(substeps):
+        k1 = rhs(coeffs)
+        k2 = rhs(coeffs + 0.5 * h * k1)
+        k3 = rhs(coeffs + 0.5 * h * k2)
+        k4 = rhs(coeffs + h * k3)
+        coeffs = coeffs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return coeffs
+
+
+class TestBufferedGalerkin:
+    @pytest.mark.parametrize("d, batch", [(1, ()), (1, (3,)), (2, (2,))])
+    def test_reused_buffers_match_fresh_ones(self, d, batch):
+        geo = TorusGeometry(d=d, n_max=4)
+        p = ModelParams(d=d, alpha=2.0, beta=0.5, gamma=1.0, n_cut=3, geometry=geo)
+        mask = geo.euclid_mask(3)
+        shape = (*batch, *geo.box_shape)
+        u, v = (0.3 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
+                for _ in range(2))
+        fresh = galerkin_substep_array(geo, u, 0.2, p, 2, mask)
+        assert fresh.tobytes() == allocating_galerkin(geo, u, 0.2, p, 2, mask).tobytes()
+        work = _galerkin_work(geo, shape)
+        for w in work:
+            w[...] = np.nan  # stale contents must never leak into a result
+        first = galerkin_substep_array(geo, v, 0.2, p, 2, mask, work)
+        again = galerkin_substep_array(geo, u, 0.2, p, 2, mask, work)
+        assert again.tobytes() == fresh.tobytes()
+        # the second call left the first result alone
+        assert first.tobytes() == galerkin_substep_array(geo, v, 0.2, p, 2, mask).tobytes()
+
+    def test_preflight_refuses_an_overflowing_start(self):
+        # |u|^2 = 800 everywhere: e^{beta |u|^2} is not a float64 at beta = 1
+        geo = TorusGeometry(d=1, n_max=4)
+        p = ModelParams(d=1, alpha=2.0, beta=1.0, gamma=1.0, n_cut=4, geometry=geo)
+        u0 = SpectralField.from_modes(geo, {0: math.sqrt(800.0 * TWO_PI)})
+        cfg = make_cfg(p, dt=1e-2, t_final=0.05)
+        message = r"^beta max\|Pi_N u0\|\^2 = 800 exceeds the exp limit 709\.783$"
+        with pytest.raises(ValueError, match=message):
+            evolve(u0, cfg)
+        rows = np.stack([0.1 * u0.coeffs, u0.coeffs])
+        with pytest.raises(ValueError, match=message):
+            evolve_ensemble(geo, rows, cfg)
+
+
+class TestBlockDiagnostics:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("mode", ["galerkin", "collocation"])
+    def test_blocks_match_the_kernels_per_snapshot(self, d, mode, monkeypatch):
+        geo = TorusGeometry(d=d, n_max=4)
+        # three states per block: 11 steps fill blocks of 3, 3, 3 and 2
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 3 * 16 * math.prod(geo.grid_shape))
+        p = ModelParams(d=d, alpha=2.5, beta=0.3, gamma=1.0, n_cut=3, geometry=geo)
+        u0 = random_field(geo, GEN, decay=1.5, scale=0.3)
+        traj = evolve(u0, make_cfg(p, dt=1e-2, t_final=0.1, store_every=1), mode)
+        assert len(traj.snapshots) == len(traj.times) == 11
+        mask = geo.euclid_mask(3)
+        rows = [f.coeffs for f in traj.snapshots]
+        v = [potential_array(geo, a * mask, p.beta) for a in rows]
+        expected = {
+            "mass": [mass_array(geo, a) for a in rows],
+            "potential": v,
+            "hamiltonian": [kinetic_sum_array(geo, a, p.alpha) + p.gamma * vi
+                            for a, vi in zip(rows, v)],
+            "h0.5_norm": [sobolev_norm_array(geo, a, 0.5) for a in rows],
+        }
+        assert list(traj.diagnostics) == list(expected)
+        for name, values in expected.items():
+            assert traj.diagnostics[name].tobytes() == np.array(values).tobytes(), name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("mode", ["galerkin", "collocation"])
+    def test_first_non_finite_step_mid_block(self, d, mode, monkeypatch):
+        # a chirp that the linear flow (gamma = 0) focuses at t = 0.3: beta |u|^2
+        # peaks at 834 there, above the exp limit, and stays below 700 at the
+        # steps before
+        geo = TorusGeometry(d=d, n_max=4)
+        p = ModelParams(d=d, alpha=2.0, beta=1.0, gamma=0.0, n_cut=4, geometry=geo)
+        mask = geo.euclid_mask(4)
+        w = dispersion_weights(geo, 2.0, "pure")
+        amp = math.sqrt(834.0 * TWO_PI**d) / np.count_nonzero(mask)
+        u0 = SpectralField(geo, amp * mask * np.exp(2j * 0.3 * w))
+        cfg = make_cfg(p, dt=0.05, t_final=1.0, symbol="pure")
+        # blocks of four states hold steps 4..7, so step 6 falls mid-block
+        for rows in (1, 4):
+            monkeypatch.setattr(dynamics, "_BLOCK_BYTES", rows * 16 * math.prod(geo.grid_shape))
+            with np.errstate(all="ignore"):
+                with pytest.raises(ValueError) as err:
+                    evolve(u0, cfg, mode)
+            assert str(err.value) == "the flow is not finite at step 6 (t = 0.3)"
 
 
 class TestEvolve:

@@ -100,8 +100,20 @@ class TestTransforms:
         got = values.reshape(*batch, -1)
         assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the round trip and Parseval, row by row
+        kept = values.copy()
         back = from_grid_array(geo, values)
+        assert values.tobytes() == kept.tobytes()
         assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
+        # into dirty buffers the pair writes the same bits, and the analysis
+        # leaves the unscaled FFT in its grid input
+        grid = np.full(values.shape, np.nan + 1j)
+        assert to_grid_array(geo, a, out=grid) is grid
+        assert grid.tobytes() == values.tobytes()
+        box = np.full(a.shape, -np.inf + 0j)
+        assert from_grid_array(geo, grid, out=box) is box
+        assert box.tobytes() == back.tobytes()
+        fft = np.fft.fftn(values, axes=geo.axes)
+        assert np.max(np.abs(grid - fft)) <= 1e-12 * np.max(np.abs(fft))
         quad = geo.quad_weight() * np.sum(np.abs(got) ** 2, axis=-1)
         exact = np.sum(np.abs(a.reshape(*batch, -1)) ** 2, axis=-1)
         assert np.allclose(quad, exact, rtol=1e-12, atol=0)
