@@ -39,6 +39,7 @@ from .measures import ModelParams, kinetic_sum_array, mass_array, potential_arra
 from .spectral import (
     SpectralField,
     TorusGeometry,
+    _block_rows,
     dispersion_weights,
     from_grid_array,
     save_snapshot,
@@ -214,10 +215,6 @@ def _flow_step(
 # trajectories
 # ---------------------------------------------------------------------------
 
-# evolve computes its diagnostics over blocks of states whose grid image is at
-# most this many bytes
-_BLOCK_BYTES = 1 << 20
-
 
 def _block_diagnostics(
     geometry: TorusGeometry, block: np.ndarray, cfg: FlowConfig, mask: np.ndarray
@@ -252,7 +249,8 @@ def evolve(
     times = np.zeros(n_steps + 1)
     snaps = [SpectralField(geometry, coeffs.copy())]
     snap_times = [0.0]
-    rows = max(1, _BLOCK_BYTES // (16 * math.prod(geometry.grid_shape)))
+    # diagnostics run over blocks of states with at most _BLOCK_BYTES of grid
+    rows = _block_rows(16 * math.prod(geometry.grid_shape))
     block = np.empty((min(rows, n_steps + 1), *coeffs.shape), np.complex128)
     diags = {}
     for k in range(n_steps + 1):

@@ -19,6 +19,7 @@ import numpy as np
 from .spectral import (
     SpectralField,
     TorusGeometry,
+    _block_rows,
     dispersion_weights,
     sigma,
     sobolev_norm_array,
@@ -140,11 +141,21 @@ def potential_array(
     beta: float,
     clip: float | None = None,
 ) -> np.ndarray:
-    """V_beta by grid quadrature of exp(beta |u|^2), optionally min(V, clip)."""
-    values = to_grid_array(geometry, coeffs)
-    v = geometry.quad_weight() * np.sum(
-        np.exp(beta * np.abs(values) ** 2), axis=geometry.axes
-    )
+    """V_beta by grid quadrature of exp(beta |u|^2), optionally min(V, clip).
+    The grid is synthesised a block of rows at a time, at most
+    `_BLOCK_BYTES` of it."""
+    batch = coeffs.shape[: coeffs.ndim - geometry.d]
+    flat = coeffs.reshape(-1, *geometry.box_shape)
+    rows = _block_rows(16 * math.prod(geometry.grid_shape))
+    grid = np.empty((min(rows, len(flat)), *geometry.grid_shape), np.complex128)
+    v = np.empty(len(flat))
+    for lo in range(0, len(flat), rows):
+        block = flat[lo : lo + rows]
+        values = to_grid_array(geometry, block, out=grid[: len(block)])
+        v[lo : lo + len(block)] = geometry.quad_weight() * np.sum(
+            np.exp(beta * np.abs(values) ** 2), axis=geometry.axes
+        )
+    v = v.reshape(batch)[()]
     if clip is not None:
         v = np.minimum(v, clip)
     return v

@@ -111,6 +111,17 @@ class TorusGeometry:
         return (TWO_PI / self.m_grid) ** self.d
 
 
+# Kernels that would otherwise hold a whole ensemble at once (a grid image of
+# 16 * prod(grid_shape) bytes a row, a bootstrap of 8 * m index bytes a row)
+# work over blocks of rows of at most this many bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` each in one block (at least one)."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 @dataclass
 class SpectralField:
     """Coefficients a_n of u = sum a_n phi_n on the geometry's mode box."""
@@ -349,25 +360,28 @@ def save_snapshot(u: SpectralField, path) -> None:
     header = SNAPSHOT_MAGIC + struct.pack(
         "<III", SNAPSHOT_VERSION, u.geometry.d, u.geometry.n_max
     )
-    flat = np.ravel(u.coeffs, order="C")
-    body = np.empty(2 * flat.size, dtype="<f8")
-    body[0::2] = flat.real
-    body[1::2] = flat.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(body.tobytes())
+        fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes())
 
 
 def load_snapshot(path, oversampling: float = DEFAULT_OVERSAMPLING) -> SpectralField:
+    """Read a `save_snapshot` file bit for bit; a file that is not exactly
+    one header and its body raises ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError("not a GNLS snapshot (bad magic)")
+    if len(raw) < 16:
+        raise ValueError(f"truncated snapshot header: {len(raw)} of 16 bytes")
     version, d, n_max = struct.unpack("<III", raw[4:16])
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
     geometry = TorusGeometry(d=d, n_max=n_max, oversampling=oversampling)
-    count = (2 * n_max + 1) ** d
-    body = np.frombuffer(raw[16:], dtype="<f8", count=2 * count)
-    coeffs = (body[0::2] + 1j * body[1::2]).reshape(geometry.box_shape)
+    size = 16 * math.prod(geometry.box_shape)
+    if len(raw) - 16 != size:
+        raise ValueError(
+            f"snapshot body is {len(raw) - 16} bytes; d = {d}, n_max = {n_max} needs {size}"
+        )
+    coeffs = np.frombuffer(raw, dtype="<c16", offset=16).reshape(geometry.box_shape)
     return SpectralField(geometry, coeffs.astype(np.complex128))

@@ -30,6 +30,7 @@ from .spectral import (
     SpectralField,
     TorusGeometry,
     TWO_PI,
+    _block_rows,
     sobolev_norm_array,
     to_grid_array,
 )
@@ -392,6 +393,19 @@ class DivergenceScan:
     saturated: bool  # last two ladder points within one combined SE
 
 
+def _bootstrap_means(values: np.ndarray, n_boot: int, gen: np.random.Generator) -> np.ndarray:
+    """Means of n_boot resamples of `values` with replacement.  The int64
+    indices are drawn in row blocks, which the generator's stream makes the
+    rows of one (n_boot, m) draw."""
+    m = values.size
+    rows = _block_rows(8 * m)
+    means = np.empty(n_boot)
+    for lo in range(0, n_boot, rows):
+        idx = gen.integers(0, m, size=(min(rows, n_boot - lo), m))
+        means[lo : lo + len(idx)] = values[idx].mean(axis=1)
+    return means
+
+
 def divergence_scan(
     params: ModelParams,
     gamma_sign: float,
@@ -424,9 +438,7 @@ def divergence_scan(
     est = contrib.mean(axis=1)
     se = contrib.std(axis=1, ddof=1) / math.sqrt(m)
     diffs = contrib[-1] - contrib[0]
-    boot_gen = rng.generator(1)
-    idx = boot_gen.integers(0, m, size=(n_boot, m))
-    boot_means = diffs[idx].mean(axis=1)
+    boot_means = _bootstrap_means(diffs, n_boot, rng.generator(1))
     pvalue = float((np.sum(boot_means <= 0.0) + 1.0) / (n_boot + 1.0))
     steps = contrib[1:].mean(axis=1) - contrib[:-1].mean(axis=1)
     comb_se = math.sqrt(se[-1] ** 2 + se[-2] ** 2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,3 +38,19 @@ def smooth_field(geometry, bandwidth=3, scale=0.1, seed=7):
             1 + abs(n)
         )
     return u
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Peak bytes traced by tracemalloc (numpy reports its buffers) while
+    fn(*args, **kwargs) runs."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()

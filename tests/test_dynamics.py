@@ -25,7 +25,7 @@ from gnls import (
     to_grid_array,
     truncation_convergence,
 )
-from gnls import dynamics
+from gnls import spectral
 from gnls.dynamics import _galerkin_work, trajectory_to_csv
 from gnls.spectral import TWO_PI
 
@@ -203,7 +203,7 @@ class TestBlockDiagnostics:
     def test_blocks_match_the_kernels_per_snapshot(self, d, mode, monkeypatch):
         geo = TorusGeometry(d=d, n_max=4)
         # three states per block: 11 steps fill blocks of 3, 3, 3 and 2
-        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 3 * 16 * math.prod(geo.grid_shape))
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 3 * 16 * math.prod(geo.grid_shape))
         p = ModelParams(d=d, alpha=2.5, beta=0.3, gamma=1.0, n_cut=3, geometry=geo)
         u0 = random_field(geo, GEN, decay=1.5, scale=0.3)
         traj = evolve(u0, make_cfg(p, dt=1e-2, t_final=0.1, store_every=1), mode)
@@ -237,7 +237,7 @@ class TestBlockDiagnostics:
         cfg = make_cfg(p, dt=0.05, t_final=1.0, symbol="pure")
         # blocks of four states hold steps 4..7, so step 6 falls mid-block
         for rows in (1, 4):
-            monkeypatch.setattr(dynamics, "_BLOCK_BYTES", rows * 16 * math.prod(geo.grid_shape))
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", rows * 16 * math.prod(geo.grid_shape))
             with np.errstate(all="ignore"):
                 with pytest.raises(ValueError) as err:
                     evolve(u0, cfg, mode)

@@ -19,9 +19,13 @@ from gnls import (
     sample_gaussian_coeffs,
     sigma,
     tail_fit,
+    to_grid_array,
 )
+from gnls import spectral
 from gnls.measures import weighted_mean_stderr
 from gnls.spectral import TWO_PI
+
+from conftest import traced_peak
 
 
 def make_params(alpha=2.0, beta=0.5, gamma=1.0, n_cut=8, n_max=None, d=1):
@@ -137,6 +141,47 @@ class TestObservables:
         z = SpectralField.zero(p.geometry)
         p1 = make_params(beta=1.0, gamma=1.0)
         assert gibbs_weight_array(p1, z.coeffs) == pytest.approx(math.exp(-TWO_PI), rel=1e-12)
+
+
+def one_shot_potential(geo, coeffs, beta, clip=None):
+    """V_beta of every row at once, the quadrature before row blocks."""
+    values = to_grid_array(geo, coeffs)
+    v = geo.quad_weight() * np.sum(np.exp(beta * np.abs(values) ** 2), axis=geo.axes)
+    return v if clip is None else np.minimum(v, clip)
+
+
+def complex_rows(geo, batch, seed, scale=0.4):
+    gen = np.random.default_rng(seed)
+    shape = (*batch, *geo.box_shape)
+    return scale * (gen.standard_normal(shape) + 1j * gen.standard_normal(shape))
+
+
+class TestBlockedPotential:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("batch", [(), (5,), (3, 3)])
+    @pytest.mark.parametrize("clipped", [False, True])
+    def test_blocks_equal_one_shot(self, d, batch, clipped, monkeypatch):
+        geo = TorusGeometry(d=d, n_max=3)
+        # four rows per block: 5 rows fill blocks of 4 and 1, 9 rows 4, 4 and 1
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 4 * 16 * math.prod(geo.grid_shape))
+        a = complex_rows(geo, batch, seed=3 * d + len(batch))
+        clip = float(np.median(one_shot_potential(geo, a, 0.7))) if clipped else None
+        got = potential_array(geo, a, 0.7, clip)
+        want = one_shot_potential(geo, a, 0.7, clip)
+        assert type(got) is type(want) and np.shape(got) == batch
+        assert got.tobytes() == want.tobytes()
+
+    def test_default_blocks_equal_one_shot(self):
+        geo = TorusGeometry(d=1, n_max=8)
+        rows = spectral._block_rows(16 * geo.m_grid)
+        a = complex_rows(geo, (2 * rows + 7,), seed=5)
+        assert potential_array(geo, a, 0.5).tobytes() == one_shot_potential(geo, a, 0.5).tobytes()
+
+    def test_traced_peak_is_one_block(self):
+        # a one-shot grid of 20000 rows at m_grid 68 alone takes 20.75 MiB
+        geo = TorusGeometry(d=1, n_max=8)
+        a = complex_rows(geo, (20000,), seed=6)
+        assert traced_peak(potential_array, geo, a, 0.5) < 4 * 2**20
 
 
 class TestGibbsEnsemble:

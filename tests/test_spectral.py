@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -284,3 +286,34 @@ class TestSnapshots:
         path.write_bytes(b"XXXX" + b"\0" * 32)
         with pytest.raises(ValueError):
             load_snapshot(path)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        d=st.integers(1, 2),
+        n_max=st.integers(0, 3),
+        parts=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=2, max_size=98),
+        tail=st.binary(min_size=1, max_size=24),
+    )
+    def test_round_trip_and_garbage(self, d, n_max, parts, tail):
+        """Any field, signed zeros and non-finite parts included, round-trips bit
+        for bit; every truncation of its file, and the file with bytes appended,
+        raises a one-line ValueError."""
+        geo = TorusGeometry(d=d, n_max=n_max)
+        size = math.prod(geo.box_shape)
+        flat = np.resize(np.asarray(parts, dtype=float), 2 * size)
+        u = SpectralField(geo, flat.view(np.complex128).reshape(geo.box_shape))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "field.gnls")
+            save_snapshot(u, path)
+            v = load_snapshot(path)
+            assert v.geometry == geo
+            assert v.coeffs.tobytes() == u.coeffs.tobytes()
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            assert len(raw) == 16 + 16 * size
+            for bad in [raw[:k] for k in range(len(raw))] + [raw + tail]:
+                with open(path, "wb") as fh:
+                    fh.write(bad)
+                with pytest.raises(ValueError) as err:
+                    load_snapshot(path)
+                assert str(err.value) and "\n" not in str(err.value)

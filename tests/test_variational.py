@@ -18,13 +18,17 @@ from gnls import (
     stability_dt,
     to_grid_array,
 )
+from gnls import spectral
 from gnls.spectral import TWO_PI
 from gnls.variational import (
     VariationalConfig,
+    _bootstrap_means,
     _ou_stepper,
     bump_coeffs,
     ou_gap_variance,
 )
+
+from conftest import traced_peak
 
 
 def make_params(n_cut, alpha=2.0, beta=0.5, gamma=-1.0, n_max=None):
@@ -274,3 +278,40 @@ class TestDivergenceScan:
         with_k = divergence_scan(p, -1.0, 1.0, [10.0, 100.0], 2000, RngStream(16))
         without = divergence_scan(p, -1.0, None, [10.0, 100.0], 2000, RngStream(16))
         assert np.all(without.estimates > with_k.estimates)
+
+
+class TestBlockedBootstrap:
+    @pytest.mark.parametrize("m", [4000, 3999])
+    def test_blocks_are_rows_of_one_draw(self, m, monkeypatch):
+        # indices below 2**32 take 32 bits each, two to a 64-bit word, and the
+        # generator keeps the spare half between calls; an odd m (and an odd
+        # block) puts block boundaries mid-word
+        values = np.random.default_rng(1).standard_normal(m)
+        idx = np.random.default_rng(2).integers(0, m, size=(2000, m))
+        want = values[idx].mean(axis=1)
+        for rows in (1, 7, 100, 256):
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", rows * 8 * m)
+            got = _bootstrap_means(values, 2000, np.random.default_rng(2))
+            assert got.tobytes() == want.tobytes(), rows
+
+    @pytest.mark.parametrize("m", [400, 399])
+    def test_trend_pvalue_matches_one_draw(self, m, monkeypatch):
+        p = make_params(16, gamma=-1.0, beta=0.5, n_max=16)
+        # clips that only a sample or two of the ensemble exceed, so that many
+        # resamples miss them and the p-value lies inside (0, 1)
+        ladder = [14.0, 1000.0]
+        # one block of n_boot rows is the single (n_boot, m) draw
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 2000 * 8 * m)
+        want = divergence_scan(p, -1.0, 3.0, ladder, m, RngStream(17)).trend_pvalue
+        assert 0.01 < want < 0.99
+        for rows in (1, 7, 100, 256):
+            monkeypatch.setattr(spectral, "_BLOCK_BYTES", rows * 8 * m)
+            got = divergence_scan(p, -1.0, 3.0, ladder, m, RngStream(17)).trend_pvalue
+            assert got == want, rows
+
+    def test_traced_peak_has_no_bootstrap_matrix(self):
+        # one (2000, 4000) int64 index matrix alone takes 61 MiB
+        p = make_params(16, gamma=-1.0, beta=0.5, n_max=16)
+        ladder = [10.0, 100.0, 1000.0]
+        peak = traced_peak(divergence_scan, p, -1.0, 3.0, ladder, 4000, RngStream(13), 2000)
+        assert peak < 24 * 2**20
