@@ -13,6 +13,7 @@ dimensions (the torus axes are always the trailing ones).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -89,9 +90,13 @@ class TorusGeometry:
         return tuple(range(-self.d, 0))
 
     @functools.cached_property
-    def box_index(self) -> tuple:
-        """Index of the box modes among the FFT bins (bin n mod m_grid)."""
-        return (Ellipsis, *np.ix_(*[np.mod(self.modes, self.m_grid)] * self.d))
+    def box_bins(self) -> list:
+        """(box, bins) index pairs that place mode n at FFT bin n mod m_grid:
+        per axis, box [N:] goes to bins [:N+1] and box [:N] to bins [m-N:]."""
+        n, m = self.n_max, self.m_grid
+        axis = [(slice(n, None), slice(n + 1)), (slice(n), slice(m - n, m))]
+        pairs = itertools.product(axis, repeat=self.d)
+        return [tuple((Ellipsis, *ix) for ix in zip(*p)) for p in pairs]
 
     def mode_abs2(self) -> np.ndarray:
         """|n|^2 over the coefficient box."""
@@ -177,7 +182,8 @@ def to_grid_array(
     if out is None:
         out = np.empty(coeffs.shape[: -geometry.d] + geometry.grid_shape, np.complex128)
     out.fill(0.0)
-    out[geometry.box_index] = coeffs
+    for box, bins in geometry.box_bins:
+        out[bins] = coeffs[box]
     for axis in reversed(geometry.axes):
         np.fft.ifft(out, axis=axis, out=out)
     scale = math.prod((TWO_PI ** (-geometry.d / 2), *geometry.grid_shape))
@@ -192,10 +198,13 @@ def from_grid_array(
     its transform; without it a copy of `values` is transformed."""
     if out is None:
         values = values.astype(np.complex128)
+        out = np.empty(values.shape[: -geometry.d] + geometry.box_shape, np.complex128)
     for axis in reversed(geometry.axes):
         np.fft.fft(values, axis=axis, out=values)
+    for box, bins in geometry.box_bins:
+        out[box] = values[bins]
     norm = TWO_PI ** (geometry.d / 2) / math.prod(geometry.grid_shape)
-    return np.multiply(norm, values[geometry.box_index], out=out)
+    return np.multiply(norm, out, out=out)
 
 
 # ---------------------------------------------------------------------------
