@@ -141,7 +141,7 @@ def run_variational(config: ExperimentConfig) -> RunResult:
         obj_rows = []
         for n in spec.n_ladder:
             geo = TorusGeometry(
-                d=config.params.d, n_max=2 * n, oversampling=config.params.geometry.oversampling
+                d=config.params.d, n_max=2 * n, oversampling=config.params_block.oversampling
             )
             params_n = replace(config.params, n_cut=n, geometry=geo)
             l_clip = spec.l_clip

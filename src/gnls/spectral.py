@@ -33,14 +33,21 @@ class DivergentSeriesError(ValueError):
     """Raised when an infinite spectral sum does not converge."""
 
 
+def _fast_len(n: int) -> int:
+    """Smallest m >= n whose prime factors all lie in {2, 3, 5, 7, 11}, the
+    radices pocketfft has dedicated passes for (as scipy.fft.next_fast_len).
+    No prime divides m more than m times, so that holds iff m | 2310^m."""
+    return next(m for m in itertools.count(n) if pow(2310, m, m) == 0)
+
+
 @dataclass(frozen=True)
 class TorusGeometry:
     """Discretization of [0, 2pi)^d: retained modes and collocation grid.
 
-    m_grid is the number of collocation points per axis; the default places
-    `oversampling` grid points per retained mode, which controls the aliasing
-    error of pointwise exponential nonlinearities (their bandwidth is
-    unbounded, so exact dealiasing is impossible).
+    m_grid is the number of collocation points per axis.  The default is the
+    first fast FFT length with at least `oversampling` points per retained
+    mode, which bounds the aliasing error of exponential nonlinearities (of
+    unbounded bandwidth); `oversampling` then holds the realised ratio.
     """
 
     d: int
@@ -55,12 +62,10 @@ class TorusGeometry:
             raise ValueError("n_max must be nonnegative")
         if self.m_grid == 0:
             m = int(math.ceil(self.oversampling * (2 * self.n_max + 1)))
-            object.__setattr__(self, "m_grid", max(m, 2 * self.n_max + 1))
+            object.__setattr__(self, "m_grid", _fast_len(max(m, 2 * self.n_max + 1)))
         if self.m_grid < 2 * self.n_max + 1:
             raise ValueError("m_grid must be at least 2*n_max+1")
-        object.__setattr__(
-            self, "oversampling", self.m_grid / (2 * self.n_max + 1)
-        )
+        object.__setattr__(self, "oversampling", self.m_grid / (2 * self.n_max + 1))
 
     @property
     def volume(self) -> float:

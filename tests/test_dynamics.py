@@ -21,6 +21,8 @@ from gnls import (
     mass_array,
     potential_array,
     sample_gaussian,
+    sample_gaussian_coeffs,
+    sigma,
     sobolev_norm_array,
     to_grid_array,
     truncation_convergence,
@@ -195,6 +197,26 @@ class TestBufferedGalerkin:
         rows = np.stack([0.1 * u0.coeffs, u0.coeffs])
         with pytest.raises(ValueError, match=message):
             evolve_ensemble(geo, rows, cfg)
+
+
+class TestFastLengthGrid:
+    def test_default_grid_agrees_with_the_unrounded_one(self):
+        # criterion 5's model: the default 70-point grid against the 68 = 4 * 17
+        # points that ceil(4 (2N + 1)) gives before rounding to a fast length
+        n_cut, alpha = 8, 2.5
+        beta = 0.1 / sigma(alpha, n_cut, 1)
+        flows = []
+        for geo in (TorusGeometry(d=1, n_max=n_cut), TorusGeometry(d=1, n_max=n_cut, m_grid=68)):
+            p = ModelParams(d=1, alpha=alpha, beta=beta, gamma=1.0, n_cut=n_cut, geometry=geo)
+            flows.append((geo, make_cfg(p, dt=2e-3, t_final=0.1)))
+        assert [geo.m_grid for geo, _ in flows] == [70, 68]
+        a0 = sample_gaussian_coeffs(flows[0][1].params, RngStream(5).generator(), 256)
+        v0 = [potential_array(geo, a0, beta) for geo, _ in flows]
+        np.testing.assert_allclose(v0[0], v0[1], rtol=1e-11, atol=0)
+        ends = [evolve_ensemble(geo, a0, cfg) for geo, cfg in flows]
+        v1 = [potential_array(geo, a, beta) for (geo, _), a in zip(flows, ends)]
+        np.testing.assert_allclose(v1[0], v1[1], rtol=1e-11, atol=0)
+        np.testing.assert_allclose(ends[0], ends[1], rtol=0, atol=1e-10)
 
 
 class TestBlockDiagnostics:

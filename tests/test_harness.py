@@ -16,10 +16,12 @@ from gnls import (
     run,
     sigma,
 )
+from gnls import experiments
 from gnls.dynamics import FlowConfig
 from gnls.harness import ConfigError, thread_count
 from gnls.measures import sample_gaussian_coeffs, weighted_mean_stderr
 from gnls.spectral import TWO_PI
+from gnls.variational import ObjectiveReport
 
 
 def observables_of(u, p):
@@ -262,6 +264,29 @@ class TestConfig:
         assert res.exit_code == 0
         payload = json.loads((tmp_path / "divergence.json").read_text())
         assert "diverging" in payload and "trend_pvalue" in payload
+
+    def test_variational_ladder_grids_use_requested_oversampling(self, tmp_path, monkeypatch):
+        # at oversampling 2.5 and n_cut 8 the realised ratio is 44/17, which
+        # would put the n = 8 and 16 rungs at 88 and 175 points, not 84 and 165
+        grids = []
+
+        def record(vcfg, rng):
+            grids.append(vcfg.params.geometry.m_grid)
+            return ObjectiveReport(1.0, 0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(experiments, "objective_estimate", record)
+        raw = {
+            "experiment": "variational",
+            "seed": 5,
+            "out": str(tmp_path),
+            "ensemble": 50,
+            "params": {"alpha": 2.0, "beta": 0.5, "gamma": -1.0, "n_cut": 8,
+                       "oversampling": 2.5},
+            "variational": {"k_mass": 3.0, "l_ladder": [10.0, 100.0], "n_ladder": [4, 8, 16]},
+        }
+        assert run(ExperimentConfig.from_dict(raw)).exit_code == 0
+        want = [TorusGeometry(1, 2 * n, oversampling=2.5).m_grid for n in (4, 8, 16)]
+        assert grids == want == [44, 84, 165]
 
     def test_run_invariance_exit_contract(self, tmp_path):
         raw = {

@@ -178,7 +178,7 @@ class TestBlockedPotential:
         assert potential_array(geo, a, 0.5).tobytes() == one_shot_potential(geo, a, 0.5).tobytes()
 
     def test_traced_peak_is_one_block(self):
-        # a one-shot grid of 20000 rows at m_grid 68 alone takes 20.75 MiB
+        # a one-shot grid of 20000 rows at m_grid 70 alone takes 21.36 MiB
         geo = TorusGeometry(d=1, n_max=8)
         a = complex_rows(geo, (20000,), seed=6)
         assert traced_peak(potential_array, geo, a, 0.5) < 4 * 2**20

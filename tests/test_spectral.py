@@ -4,6 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,11 +33,38 @@ def inner(u, v):
     return complex(np.sum(np.conj(u.coeffs) * v.coeffs))
 
 
+def smooth11(m):
+    """Whether every prime factor of m lies in {2, 3, 5, 7, 11}."""
+    for p in (2, 3, 5, 7, 11):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
 class TestGeometry:
     def test_default_oversampling(self):
         geo = TorusGeometry(d=1, n_max=8)
-        assert geo.m_grid >= 4 * 17
-        assert geo.oversampling >= 4.0
+        assert geo.m_grid == 70  # 4 * 17 = 68 rounded up to 2 * 5 * 7
+        assert geo.oversampling == 70 / 17
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        n_max=st.integers(0, 64),
+        oversampling=st.floats(1.0, 8.0),
+    )
+    def test_default_grid_is_next_fast_length(self, d, n_max, oversampling):
+        geo = TorusGeometry(d=d, n_max=n_max, oversampling=oversampling)
+        target = max(math.ceil(oversampling * (2 * n_max + 1)), 2 * n_max + 1)
+        assert geo.m_grid == scipy.fft.next_fast_len(target)
+        assert geo.m_grid >= target and smooth11(geo.m_grid)
+        assert not any(smooth11(m) for m in range(target, geo.m_grid))
+        assert geo.oversampling == geo.m_grid / (2 * n_max + 1)
+
+    def test_explicit_grid_is_kept(self):
+        geo = TorusGeometry(d=1, n_max=8, m_grid=68)
+        assert geo.m_grid == 68
+        assert geo.oversampling == 4.0
 
     def test_rejects_undersampled_grid(self):
         with pytest.raises(ValueError):
@@ -84,11 +112,14 @@ class TestTransforms:
         d=st.integers(1, 2),
         n_max=st.integers(0, 6),
         oversampling=st.floats(1.0, 4.0),
+        # explicit lengths with a radix pocketfft has no dedicated pass for;
+        # every default grid is 11-smooth
+        m_grid=st.sampled_from([0, 0, 13, 17, 19, 23, 34, 37, 68]),
         batch=st.lists(st.integers(1, 3), max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_transform_pair_properties(self, d, n_max, oversampling, batch, seed):
-        geo = TorusGeometry(d=d, n_max=n_max, oversampling=oversampling)
+    def test_transform_pair_properties(self, d, n_max, oversampling, m_grid, batch, seed):
+        geo = TorusGeometry(d=d, n_max=n_max, m_grid=m_grid, oversampling=oversampling)
         gen = np.random.default_rng(seed)
         shape = (*batch, *geo.box_shape)
         a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
