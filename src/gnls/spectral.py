@@ -95,13 +95,13 @@ class TorusGeometry:
         return tuple(range(-self.d, 0))
 
     @functools.cached_property
-    def box_bins(self) -> list:
+    def box_bins(self) -> tuple:
         """(box, bins) index pairs that place mode n at FFT bin n mod m_grid:
         per axis, box [N:] goes to bins [:N+1] and box [:N] to bins [m-N:]."""
         n, m = self.n_max, self.m_grid
         axis = [(slice(n, None), slice(n + 1)), (slice(n), slice(m - n, m))]
         pairs = itertools.product(axis, repeat=self.d)
-        return [tuple((Ellipsis, *ix) for ix in zip(*p)) for p in pairs]
+        return tuple(tuple((Ellipsis, *ix) for ix in zip(*p)) for p in pairs)
 
     def mode_abs2(self) -> np.ndarray:
         """|n|^2 over the coefficient box."""

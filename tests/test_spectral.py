@@ -112,8 +112,8 @@ class TestTransforms:
         d=st.integers(1, 2),
         n_max=st.integers(0, 6),
         oversampling=st.floats(1.0, 4.0),
-        # explicit lengths with a radix pocketfft has no dedicated pass for;
-        # every default grid is 11-smooth
+        # 0 is the default grid, which is always 11-smooth; the explicit
+        # lengths have a prime factor pocketfft has no dedicated pass for
         m_grid=st.sampled_from([0, 0, 13, 17, 19, 23, 34, 37, 68]),
         batch=st.lists(st.integers(1, 3), max_size=2),
         seed=st.integers(0, 2**32 - 1),
