@@ -1,7 +1,9 @@
 """Why the focusing ensemble has no normalization: high-frequency bumps of
 unit-order mass drive the clipped partition-function estimate upward without
 bound, and the drifted variational objective turns unboundedly negative along
-a frequency ladder.
+a frequency ladder.  The objective draws the OU endpoints in one shot from the
+Euler chain's endpoint law, and the drift cost it prints is the exact
+expected cost, not a sample mean.
 
 Run:  python demos/05_focusing_divergence.py
 """
@@ -48,7 +50,7 @@ def main():
         rep = objective_estimate(cfg, RngStream(12, n))
         print(
             f"N = {n:3d}: objective {rep.estimate:14.1f}  "
-            f"(indicator freq {rep.indicator_freq:.2f}, drift cost {rep.mean_cost:9.1f})"
+            f"(indicator freq {rep.indicator_freq:.2f}, mean drift cost {rep.mean_cost:9.1f})"
         )
 
     print("\n== direct clipped partition-function scan ==")

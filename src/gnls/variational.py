@@ -175,14 +175,13 @@ def _ou_stepper(
     m: int,
     dt: float,
     keep_paths: bool = False,
-    track_cost: bool = False,
     chunk: int = 2000,
 ):
     """Euler-Maruyama co-simulation of (B_n, Z_{N,n}), dZ = a (c B - Z) dt, on
     the active modes |n| <= N; the Brownian endpoints of the spectator modes
     above the cutoff are drawn in one shot (their law at t = 1 is the same and
-    nothing couples to them in time).  Returns (b_final, z_final, cost, steps,
-    dt, active, paths_b, paths_z) with full-box final arrays.
+    nothing couples to them in time).  Returns (b_final, z_final, steps, dt,
+    active, paths_b, paths_z) with full-box final arrays.
     """
     geo = params.geometry
     modes = geo.modes
@@ -193,14 +192,12 @@ def _ou_stepper(
     a_act = c_act * params.n_cut ** (params.alpha / 2.0)
     steps = int(round(1.0 / dt))
     dt = 1.0 / steps
-    w_act = geo.bracket(params.alpha)[active]
     noise_scale = math.sqrt(dt / 2.0)
     k_decay = 1.0 - dt * a_act
     k_drive = dt * a_act * c_act
 
     b_final = np.zeros((m, n_modes), dtype=np.complex128)
     z_final = np.zeros((m, n_modes), dtype=np.complex128)
-    cost_acc = np.zeros(m)
     paths_b = paths_z = None
 
     for lo in range(0, m, chunk):
@@ -216,12 +213,8 @@ def _ou_stepper(
                 gen.standard_normal((mm, n_act))
                 + 1j * gen.standard_normal((mm, n_act))
             )
-            z_new = k_decay * z + k_drive * b
+            z = k_decay * z + k_drive * b
             b += noise
-            if track_cost:
-                dz = (z_new - z) / dt
-                cost_acc[lo:hi] += dt * np.sum(w_act * np.abs(dz) ** 2, axis=1)
-            z = z_new
             if keep_paths and lo == 0:
                 paths_b.append(b[0].copy())
                 paths_z.append(z[0].copy())
@@ -233,7 +226,7 @@ def _ou_stepper(
         b_final[:, ~active] = (
             gen.standard_normal((m, n_tail)) + 1j * gen.standard_normal((m, n_tail))
         ) / math.sqrt(2.0)
-    return b_final, z_final, cost_acc, steps, dt, active, paths_b, paths_z
+    return b_final, z_final, steps, dt, active, paths_b, paths_z
 
 
 def simulate_drift(config: VariationalConfig, rng: RngStream) -> DriftPath:
@@ -241,7 +234,7 @@ def simulate_drift(config: VariationalConfig, rng: RngStream) -> DriftPath:
     params = config.params
     dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)
     gen = rng.generator()
-    _, _, _, steps, dt, active, pb, pz = _ou_stepper(
+    _, _, steps, dt, active, pb, pz = _ou_stepper(
         params, gen, 1, dt, keep_paths=True
     )
     times = np.linspace(0.0, 1.0, steps + 1)
@@ -285,30 +278,63 @@ def ou_gap_oracle(params: ModelParams) -> float:
     return float(inner + outer) / TWO_PI
 
 
-def ou_gap_variance(params: ModelParams, dt: float, scheme: str) -> np.ndarray:
-    """Variance v_n of the gap <n>^(-alpha/2) B_n(1) - Z_{N,n}(1) ~ CN(0, v_n)
-    over the box, from the second moments of the K = round(1/dt) step chain:
-    'euler' iterates (B, Z) of `_ou_stepper`, 'exact' the exact update of
-    X = cB - Z, an OU process driven by c dB.  Spectators keep <n>^(-alpha)."""
-    if scheme not in ("euler", "exact"):
-        raise ValueError(f"unknown scheme {scheme!r}")
+def _euler_moments(params: ModelParams, dt: float):
+    """Second moments of the K = round(1/dt) step Euler chain of `_ou_stepper`
+    per active mode |n| <= N: (sbb, sbz, szz) = (E|B_n(1)|^2, E B_n(1)
+    conj(Z_n(1)), E|Z_n(1)|^2), all real, and the exact expected path cost
+    E sum_k dt sum_n <n>^alpha |dZ_{n,k}/dt|^2 with dZ_k = a (c B_k - Z_k) dt,
+    from the moments at the start of each step.  Raises ValueError for a step
+    the chain cannot take: |1 - dt a_n| >= 1 on some mode, or a joint law
+    whose conditional variance szz - sbz^2/sbb is negative."""
     geo = params.geometry
     active = np.abs(geo.modes) <= params.n_cut
     c = geo.bracket(-params.alpha / 2.0)[active]
     a = ou_rates(params)[active]
     steps = int(round(1.0 / dt))
-    dt = 1.0 / steps
+    bound = 2.0 / float(np.max(a))
+    if steps < 1 or 1.0 / steps >= bound:
+        raise ValueError(
+            f"dt_sde {dt:g} is not a stable Euler OU step: 1/round(1/dt_sde) "
+            f"must lie in (0, 2/max a_n) = (0, {bound:g})"
+        )
+    h = 1.0 / steps
+    k_decay, k_drive = 1.0 - h * a, h * a * c
+    sbb = sbz = szz = gap_sum = np.zeros_like(a)
+    for _ in range(steps):
+        gap_sum = gap_sum + (c**2 * sbb - 2.0 * c * sbz + szz)
+        szz, sbz, sbb = (
+            k_decay**2 * szz + 2.0 * k_decay * k_drive * sbz + k_drive**2 * sbb,
+            k_decay * sbz + k_drive * sbb,
+            sbb + h,
+        )
+    if np.any(szz - sbz**2 / sbb < 0.0):
+        raise ValueError(
+            f"dt_sde {dt:g}: the Euler OU endpoint law has a negative "
+            f"conditional variance szz - sbz^2/sbb"
+        )
+    w = geo.bracket(params.alpha)[active]
+    cost = h * float(np.sum(w * a**2 * gap_sum))
+    return sbb, sbz, szz, cost
+
+
+def ou_gap_variance(params: ModelParams, dt: float, scheme: str) -> np.ndarray:
+    """Variance v_n of the gap <n>^(-alpha/2) B_n(1) - Z_{N,n}(1) ~ CN(0, v_n)
+    over the box, from the second moments of the K = round(1/dt) step chain:
+    'euler' iterates (B, Z) of `_ou_stepper` (`_euler_moments`), 'exact' the
+    exact update of X = cB - Z, an OU process driven by c dB.  Spectators
+    keep <n>^(-alpha)."""
+    if scheme not in ("euler", "exact"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    geo = params.geometry
+    active = np.abs(geo.modes) <= params.n_cut
+    c = geo.bracket(-params.alpha / 2.0)[active]
     if scheme == "euler":
-        k_decay, k_drive = 1.0 - dt * a, dt * a * c
-        sbb = sbz = szz = np.zeros_like(a)
-        for _ in range(steps):
-            szz, sbz, sbb = (
-                k_decay**2 * szz + 2.0 * k_decay * k_drive * sbz + k_drive**2 * sbb,
-                k_decay * sbz + k_drive * sbb,
-                sbb + dt,
-            )
+        sbb, sbz, szz, _ = _euler_moments(params, dt)
         gap = c**2 * sbb - 2.0 * c * sbz + szz
     else:
+        a = ou_rates(params)[active]
+        steps = int(round(1.0 / dt))
+        dt = 1.0 / steps
         decay = np.exp(-a * dt)
         var_i = (1.0 - np.exp(-2.0 * a * dt)) / (2.0 * a)
         gap = np.zeros_like(a)
@@ -342,8 +368,44 @@ def simulate_ou_gap(
 # ---------------------------------------------------------------------------
 
 
+def _complex_normal(gen: np.random.Generator, shape: tuple) -> np.ndarray:
+    """CN(0, 1) draws, real and imaginary parts interleaved in one buffer."""
+    g = gen.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+    g *= math.sqrt(0.5)
+    return g
+
+
+def _active_slice(params: ModelParams) -> slice:
+    """The drift modes |n| <= N as a slice of the d = 1 box."""
+    lo = params.geometry.n_max - params.n_cut
+    return slice(lo, lo + 2 * params.n_cut + 1)
+
+
+def _draw_endpoints(params: ModelParams, dt: float, gen: np.random.Generator, m: int):
+    """(B(1), Z_N(1)) of the Euler chain of `_ou_stepper`, drawn in one shot
+    from its endpoint law: per active mode b = sqrt(sbb) g1 and
+    z = (sbz / sqrt(sbb)) g1 + sqrt(szz - sbz^2 / sbb) g2 for independent
+    CN(0, 1) g1, g2 and the moments of `_euler_moments`; the spectators' B(1)
+    is CN(0, 1).  Returns (b over the box, z on `_active_slice`, the expected
+    path cost)."""
+    sbb, sbz, szz, cost = _euler_moments(params, dt)
+    act = _active_slice(params)
+    b = _complex_normal(gen, (m, params.geometry.modes.size))
+    z = _complex_normal(gen, (m, sbb.size))
+    root = np.sqrt(sbb)
+    z *= np.sqrt(szz - sbz**2 / sbb)
+    z += (sbz / root) * b[:, act]
+    b[:, act] *= root
+    return b, z, cost
+
+
 @dataclass
 class ObjectiveReport:
+    """`objective_estimate`'s result: the Monte-Carlo mean and standard error
+    of the objective, the frequency of the mass indicator, the drift cost
+    (an exact expectation, the same for every sample) and the mean of the
+    clipped potential under the indicator."""
+
     estimate: float
     stderr: float
     indicator_freq: float
@@ -355,18 +417,20 @@ def objective_estimate(config: VariationalConfig, rng: RngStream) -> ObjectiveRe
     """Monte-Carlo mean of
     gamma min(V_beta(Y(1)+Theta), L) 1{||Y(1)+Theta||_{L2} <= K} + drift cost,
     with Theta = -Z_N(1) + eta f_N; min and indicator are applied per sample
-    before averaging."""
+    before averaging.  Only the endpoints (B(1), Z_N(1)) of the Euler chain
+    with step `dt_sde` enter the potential term, so they are drawn in one
+    shot from the chain's endpoint law (`_draw_endpoints`), and the drift
+    cost is its exact expectation: half the chain's expected path cost plus
+    the bump's constant (`drift_cost` is the per-path cost)."""
     params = config.params
     geo = params.geometry
     dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)
-    gen = rng.generator()
-    b, z, cost_z, _, _, _, _, _ = _ou_stepper(
-        params, gen, config.m, dt, track_cost=True
-    )
-    c = geo.bracket(-params.alpha / 2.0)
-    y1 = c * b
+    shifted, z, cost_z = _draw_endpoints(params, dt, rng.generator(), config.m)
+    # the B(1) draw becomes Y(1) - Z_N(1) + eta f_N in its own buffer
+    shifted *= geo.bracket(-params.alpha / 2.0)
+    shifted[:, _active_slice(params)] -= z
     f = bump_coeffs(geo, params.n_cut, config.x0)
-    shifted = y1 - z + config.eta * f
+    shifted += config.eta * f
     v = potential_array(geo, shifted, params.beta, clip=config.l_clip)
     norms = np.sqrt(np.sum(np.abs(shifted) ** 2, axis=1))
     indicator = norms <= config.k_mass
@@ -378,7 +442,7 @@ def objective_estimate(config: VariationalConfig, rng: RngStream) -> ObjectiveRe
         est,
         se,
         float(indicator.mean()),
-        float(cost.mean()),
+        cost,
         float((v * indicator).mean()),
     )
 

@@ -276,6 +276,23 @@ class TestCli:
         assert path in err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_unstable_sde_step_exits_one(self, tmp_path, capsys):
+        # the fastest OU rate at N = 4 is 4, so dt_sde 0.5 is at the bound 2/4
+        cfg = sample_config(
+            tmp_path,
+            experiment="variational",
+            ensemble=100,
+            params={"alpha": 2.0, "beta": 0.5, "gamma": -1.0, "n_cut": 4},
+            variational={"n_ladder": [4], "dt_sde": 0.5},
+        )
+        assert main(["variational", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
+        assert err.startswith("gnls: error: dt_sde 0.5 ") and err.count("\n") == 1, err
+        assert "2/max a_n" in err
+        assert not (tmp_path / "out" / "objective.csv").exists()
+
     def test_non_finite_flow_exits_one_before_output(self, tmp_path, capsys):
         # beta = 50 overflows the flow in its first step
         cfg = sample_config(

@@ -22,10 +22,14 @@ from gnls import spectral
 from gnls.spectral import TWO_PI
 from gnls.variational import (
     VariationalConfig,
+    _active_slice,
     _bootstrap_means,
+    _draw_endpoints,
+    _euler_moments,
     _ou_stepper,
     bump_coeffs,
     ou_gap_variance,
+    ou_rates,
 )
 
 from conftest import traced_peak
@@ -34,6 +38,16 @@ from conftest import traced_peak
 def make_params(n_cut, alpha=2.0, beta=0.5, gamma=-1.0, n_max=None):
     geo = TorusGeometry(d=1, n_max=n_max or 2 * n_cut, oversampling=2.0)
     return ModelParams(d=1, alpha=alpha, beta=beta, gamma=gamma, n_cut=n_cut, geometry=geo)
+
+
+def assert_endpoint_moments(b, z, moments):
+    """Per mode, the sample means of |b|^2, Re b conj(z) and |z|^2 lie within
+    4 SE of (sbb, sbz, szz), and that of Im b conj(z) within 4 SE of 0."""
+    bz = b * z.conj()
+    samples = (np.abs(b) ** 2, bz.real, np.abs(z) ** 2, bz.imag)
+    for sample, want in zip(samples, (*moments, 0.0)):
+        se = sample.std(axis=0, ddof=1) / math.sqrt(len(sample))
+        assert np.all(np.abs(sample.mean(axis=0) - want) <= 4 * se)
 
 
 class TestBump:
@@ -150,12 +164,12 @@ class TestGapLaw:
 
     def test_euler_recursion_matches_path_simulator(self):
         # ties the recursion to the Euler path simulator behind
-        # objective_estimate and simulate_drift; the modes are independent,
-        # so the pooled ratio sees a 1% per-mode error the 4-SE per-mode
-        # comparison alone can miss
+        # simulate_drift, whose endpoint law objective_estimate draws; the
+        # modes are independent, so the pooled ratio sees a 1% per-mode error
+        # the 4-SE per-mode comparison alone can miss
         p = make_params(4, n_max=8)
         m, dt = 20000, stability_dt(p)
-        b, z, _, _, _, active, _, _ = _ou_stepper(p, RngStream(30).generator(), m, dt)
+        b, z, _, _, active, _, _ = _ou_stepper(p, RngStream(30).generator(), m, dt)
         c = p.geometry.bracket(-p.alpha / 2.0)
         g2 = np.abs(c * b - z)[:, active] ** 2
         v = ou_gap_variance(p, dt, "euler")[active]
@@ -163,6 +177,8 @@ class TestGapLaw:
         assert np.all(np.abs(g2.mean(axis=0) - v) <= 4 * se)
         ratio = (g2 / v).mean(axis=1)
         assert abs(ratio.mean() - 1.0) <= 4 * ratio.std(ddof=1) / math.sqrt(m)
+        # each of the three joint moments, not only the gap they combine into
+        assert_endpoint_moments(b[:, active], z[:, active], _euler_moments(p, dt)[:3])
 
     def test_euler_bias_at_criterion_7b_cell(self):
         geo = TorusGeometry(d=1, n_max=128, oversampling=1.0)
@@ -179,6 +195,74 @@ class TestGapLaw:
             assert np.array_equal(v[outside], p.geometry.bracket(-p.alpha)[outside])
         with pytest.raises(ValueError):
             ou_gap_variance(p, stability_dt(p), "milstein")
+
+
+class TestEndpointLaw:
+    """The one-shot endpoint draw and exact mean cost of `objective_estimate`."""
+
+    def test_endpoint_draw_matches_moments(self):
+        p = make_params(4, n_max=8)
+        dt = stability_dt(p)
+        b, z, _ = _draw_endpoints(p, dt, RngStream(31).generator(), 20000)
+        act = _active_slice(p)
+        assert np.array_equal(p.geometry.modes[act], np.arange(-4, 5))
+        assert_endpoint_moments(b[:, act], z, _euler_moments(p, dt)[:3])
+        spectators = np.concatenate([b[:, : act.start], b[:, act.stop :]], axis=1)
+        power = np.abs(spectators) ** 2
+        se = power.std(axis=0, ddof=1) / math.sqrt(len(power))
+        assert np.all(np.abs(power.mean(axis=0) - 1.0) <= 4 * se)
+
+    def test_expected_cost_matches_path_oracle(self):
+        # the per-path cost the Euler stepper used to accumulate, step by step
+        p = make_params(4)
+        m, dt = 20000, 0.01
+        geo = p.geometry
+        active = np.abs(geo.modes) <= p.n_cut
+        c = geo.bracket(-p.alpha / 2.0)[active]
+        a = ou_rates(p)[active]
+        w = geo.bracket(p.alpha)[active]
+        gen = RngStream(32).generator()
+        b = np.zeros((m, c.size), dtype=np.complex128)
+        z = np.zeros_like(b)
+        cost = np.zeros(m)
+        for _ in range(100):
+            noise = math.sqrt(dt / 2.0) * (
+                gen.standard_normal(b.shape) + 1j * gen.standard_normal(b.shape)
+            )
+            z_new = (1.0 - dt * a) * z + dt * a * c * b
+            b += noise
+            dz = (z_new - z) / dt
+            cost += dt * np.sum(w * np.abs(dz) ** 2, axis=1)
+            z = z_new
+        want = _euler_moments(p, dt)[3]
+        assert abs(cost.mean() - want) <= 4 * cost.std(ddof=1) / math.sqrt(m)
+
+    def test_objective_cost_is_the_expectation(self):
+        p = make_params(8)
+        cfg = VariationalConfig(params=p, k_mass=2.0, l_clip=50.0, eta=0.3, m=50, dt_sde=0.01)
+        f = bump_coeffs(p.geometry, p.n_cut, 0.0)
+        cost_f = 0.5 * 0.3**2 * float(np.sum(p.geometry.bracket(p.alpha) * np.abs(f) ** 2))
+        want = 0.5 * _euler_moments(p, 0.01)[3] + cost_f
+        assert objective_estimate(cfg, RngStream(33)).mean_cost == pytest.approx(want, rel=1e-12)
+
+    def test_unstable_step_raises(self):
+        # a_n peaks at N^(alpha/2) = 4 on the zero mode: the bound is 2/4
+        p = make_params(4)
+        assert np.all(np.isfinite(_euler_moments(p, 1.0 / 3.0)[:3]))
+        for dt in (0.5, 1.0, 5.0, -0.1):
+            with pytest.raises(ValueError, match=r"dt_sde .* 2/max a_n\) = \(0, 0\.5\)"):
+                _euler_moments(p, dt)
+        cfg = VariationalConfig(params=p, k_mass=2.0, l_clip=50.0, eta=0.3, m=10, dt_sde=0.5)
+        with pytest.raises(ValueError, match="dt_sde 0.5 "):
+            objective_estimate(cfg, RngStream(34))
+        with pytest.raises(ValueError, match="dt_sde 0.5 "):
+            ou_gap_variance(p, 0.5, "euler")
+        # at alpha 2, N 64 the chain at dt 0.05 would reach an expected cost
+        # of order 1e13 instead of failing
+        geo = TorusGeometry(d=1, n_max=128, oversampling=1.0)
+        p64 = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=-1.0, n_cut=64, geometry=geo)
+        with pytest.raises(ValueError, match=r"dt_sde 0.05 .*\(0, 0\.03125\)"):
+            _euler_moments(p64, 0.05)
 
 
 class TestDriftCost:
