@@ -141,23 +141,28 @@ def _galerkin_work(geometry: TorusGeometry, shape: tuple) -> tuple:
 
 
 def galerkin_rhs_array(
-    geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams, mask: np.ndarray,
+    geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams, mask: np.ndarray | None,
     out: np.ndarray | None = None, work: tuple | None = None,
 ) -> np.ndarray:
     """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u], into `out` when given;
-    the first three buffers of `work` (from `_galerkin_work`) are overwritten."""
+    the first three buffers of `work` (from `_galerkin_work`) are overwritten.
+    `mask` None stands for P_N = identity on the box."""
     box, grid, absq = (work or _galerkin_work(geometry, coeffs.shape))[:3]
-    values = to_grid_array(geometry, np.multiply(coeffs, mask, out=box), out=grid)
+    if mask is not None:
+        coeffs = np.multiply(coeffs, mask, out=box)
+    values = to_grid_array(geometry, coeffs, out=grid)
     np.square(np.abs(values, out=absq), out=absq)
     np.exp(np.multiply(params.beta, absq, out=absq), out=absq)
     np.multiply(absq, values, out=values)
-    conv = np.multiply(from_grid_array(geometry, values, out=box), mask, out=box)
+    conv = from_grid_array(geometry, values, out=box)
+    if mask is not None:
+        np.multiply(conv, mask, out=conv)
     return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
 
 
 def galerkin_substep_array(
     geometry: TorusGeometry, coeffs: np.ndarray, t: float, params: ModelParams,
-    substeps: int, mask: np.ndarray, work: tuple | None = None,
+    substeps: int, mask: np.ndarray | None, work: tuple | None = None,
 ) -> np.ndarray:
     """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`.  The
     stages run in the buffers `work` of `_galerkin_work`, which a call
@@ -192,6 +197,8 @@ def _flow_step(
     peak, limit = p.beta * float(np.max(absq, initial=0.0)), math.log(np.finfo(float).max)
     if peak > limit:
         raise ValueError(f"beta max|Pi_N u0|^2 = {peak:.6g} exceeds the exp limit {limit:.6g}")
+    if mask.all():  # P_N is the identity on the box, as in d = 1 at n_cut = n_max
+        mask = None
     omega = dispersion_weights(geometry, p.alpha, cfg.dispersion_symbol)
     strang = cfg.scheme == "strang"
     # Strang: linear(dt/2) o nonlinear(dt) o linear(dt/2); Lie: nonlinear o linear

@@ -76,11 +76,11 @@ class TorusGeometry:
         """Mode values -n_max..n_max along one axis."""
         return np.arange(-self.n_max, self.n_max + 1)
 
-    @property
+    @functools.cached_property
     def box_shape(self) -> tuple[int, ...]:
         return (2 * self.n_max + 1,) * self.d
 
-    @property
+    @functools.cached_property
     def grid_shape(self) -> tuple[int, ...]:
         return (self.m_grid,) * self.d
 
@@ -89,10 +89,21 @@ class TorusGeometry:
         """Collocation points along one axis."""
         return TWO_PI * np.arange(self.m_grid) / self.m_grid
 
-    @property
+    @functools.cached_property
     def axes(self) -> tuple[int, ...]:
         """The trailing torus axes of a coefficient or grid array."""
         return tuple(range(-self.d, 0))
+
+    @functools.cached_property
+    def scale(self) -> float:
+        """Synthesis factor (2pi)^(-d/2) * m * ... * m, multiplied left to
+        right ((2pi)^(-d/2) * m**d differs in the last bit)."""
+        return math.prod((TWO_PI ** (-self.d / 2), *self.grid_shape))
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """Analysis factor (2pi)^(d/2) / m^d."""
+        return TWO_PI ** (self.d / 2) / math.prod(self.grid_shape)
 
     @functools.cached_property
     def box_bins(self) -> tuple:
@@ -174,9 +185,7 @@ class SpectralField:
 
 
 # One 1d FFT per torus axis, last axis first as np.fft.ifftn does (ifftn costs
-# twice as much per call on one row), computed in place.  The scale
-# (2pi)^(-d/2) * m * ... * m is multiplied left to right; (2pi)^(-d/2) * m**d
-# differs in the last bit.
+# twice as much per call on one row), computed in place.
 
 
 def to_grid_array(
@@ -191,8 +200,7 @@ def to_grid_array(
         out[bins] = coeffs[box]
     for axis in reversed(geometry.axes):
         np.fft.ifft(out, axis=axis, out=out)
-    scale = math.prod((TWO_PI ** (-geometry.d / 2), *geometry.grid_shape))
-    return np.multiply(scale, out, out=out)
+    return np.multiply(geometry.scale, out, out=out)
 
 
 def from_grid_array(
@@ -208,8 +216,7 @@ def from_grid_array(
         np.fft.fft(values, axis=axis, out=values)
     for box, bins in geometry.box_bins:
         out[box] = values[bins]
-    norm = TWO_PI ** (geometry.d / 2) / math.prod(geometry.grid_shape)
-    return np.multiply(norm, out, out=out)
+    return np.multiply(geometry.norm, out, out=out)
 
 
 # ---------------------------------------------------------------------------
