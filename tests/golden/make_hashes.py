@@ -4,7 +4,9 @@
 
 Runs each named case of tests/test_golden.py (every case when none is named)
 at GNLS_THREADS=1 and 2, refuses to write when the two thread counts
-disagree, and leaves the entries of the other cases as they are.
+disagree, and leaves the entries of the other cases as they are.  Prints
+each artifact whose hash moved, as `case/artifact: old[:12] → new[:12]`
+("-" for an artifact that is new or gone), then the count of unmoved ones.
 """
 
 import json
@@ -23,10 +25,12 @@ def main(names) -> int:
     if unknown:
         print(f"unknown cases: {', '.join(unknown)}", file=sys.stderr)
         return 1
-    hashes = {}
-    if names and os.path.exists(HASHES):
+    old = {}
+    if os.path.exists(HASHES):
         with open(HASHES) as fh:
-            hashes = json.load(fh)
+            old = json.load(fh)
+    hashes = dict(old) if names else {}
+    unmoved = 0
     for name in sorted(names or CONFIGS):
         results = []
         for threads in ("1", "2"):
@@ -37,6 +41,17 @@ def main(names) -> int:
             print(f"{name}: artifacts differ between 1 and 2 threads", file=sys.stderr)
             return 1
         hashes[name] = results[0]
+        before = old.get(name, {"artifacts": {}, "exit_code": None})
+        if before["exit_code"] != results[0]["exit_code"]:
+            print(f"{name}: exit code {before['exit_code']} → {results[0]['exit_code']}")
+        for artifact in sorted(set(before["artifacts"]) | set(results[0]["artifacts"])):
+            was = before["artifacts"].get(artifact, "-")
+            now = results[0]["artifacts"].get(artifact, "-")
+            if was == now:
+                unmoved += 1
+            else:
+                print(f"{name}/{artifact}: {was[:12]} → {now[:12]}")
+    print(f"{unmoved} artifacts unmoved")
     with open(HASHES, "w") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)
         fh.write("\n")
