@@ -416,13 +416,13 @@ def trajectory_to_csv(traj: Trajectory, path, snapshot_dir=None) -> None:
     ordered = ["mass", "hamiltonian", "potential"] + [
         n for n in names if n not in ("mass", "hamiltonian", "potential")
     ]
+    cols = [traj.times] + [traj.diagnostics[n] for n in ordered]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + ordered)
-        for i, t in enumerate(traj.times):
-            writer.writerow(
-                [f"{t:.17g}"] + [f"{traj.diagnostics[n][i]:.17g}" for n in ordered]
-            )
+        # floats from tolist format as np.float64 does; one block's strings live at a time
+        for lo in range(0, len(traj.times), 256):
+            writer.writerows(zip(*([f"{x:.17g}" for x in c[lo : lo + 256].tolist()] for c in cols)))
     if snapshot_dir is not None:
         import os
 
