@@ -26,7 +26,7 @@ from .measures import (
     weighted_mean_stderr,
 )
 from .spectral import SpectralField, TWO_PI, TorusGeometry, sobolev_norm_array
-from .variational import VariationalConfig, divergence_scan, objective_estimate
+from .variational import VariationalConfig, _euler_moments, divergence_scan, objective_estimate
 
 
 def run_sample(config: ExperimentConfig) -> RunResult:
@@ -123,6 +123,21 @@ def run_moments(config: ExperimentConfig) -> RunResult:
 def run_variational(config: ExperimentConfig) -> RunResult:
     spec = config.variational
     rng = RngStream(config.seed)
+    rungs = []
+    for n in spec.n_ladder or ():
+        geo = TorusGeometry(
+            d=config.params.d, n_max=2 * n, oversampling=config.params_block.oversampling
+        )
+        params_n = replace(config.params, n_cut=n, geometry=geo)
+        l_clip = spec.l_clip
+        if l_clip is None:
+            l_clip = 100.0 * math.exp(0.45 * abs(params_n.beta) * spec.eta**2 * n)
+        rungs.append(VariationalConfig(
+            params=params_n, k_mass=spec.k_mass, l_clip=l_clip,
+            eta=spec.eta, m=config.ensemble, dt_sde=spec.dt_sde,
+        ))
+        if spec.dt_sde is not None:  # refuse an unstable step before any artifact
+            _euler_moments(params_n, spec.dt_sde)
     scan = divergence_scan(
         config.params, spec.gamma_sign, spec.k_mass, spec.l_ladder, config.ensemble, rng
     )
@@ -137,20 +152,9 @@ def run_variational(config: ExperimentConfig) -> RunResult:
         "saturated": scan.saturated,
     }
 
-    if spec.n_ladder:
+    if rungs:
         obj_rows = []
-        for n in spec.n_ladder:
-            geo = TorusGeometry(
-                d=config.params.d, n_max=2 * n, oversampling=config.params_block.oversampling
-            )
-            params_n = replace(config.params, n_cut=n, geometry=geo)
-            l_clip = spec.l_clip
-            if l_clip is None:
-                l_clip = 100.0 * math.exp(0.45 * abs(params_n.beta) * spec.eta**2 * n)
-            vcfg = VariationalConfig(
-                params=params_n, k_mass=spec.k_mass, l_clip=l_clip,
-                eta=spec.eta, m=config.ensemble, dt_sde=spec.dt_sde,
-            )
+        for n, vcfg in zip(spec.n_ladder, rungs):
             rep = objective_estimate(vcfg, rng.child(n))
             obj_rows.append([n, rep.estimate, rep.stderr, rep.indicator_freq, rep.mean_cost])
         write_csv(os.path.join(config.out, "objective.csv"),

@@ -292,6 +292,7 @@ class TestCli:
         assert err.startswith("gnls: error: dt_sde 0.5 ") and err.count("\n") == 1, err
         assert "2/max a_n" in err
         assert not (tmp_path / "out" / "objective.csv").exists()
+        assert not (tmp_path / "out" / "divergence.csv").exists()
 
     def test_non_finite_flow_exits_one_before_output(self, tmp_path, capsys):
         # beta = 50 overflows the flow in its first step
