@@ -123,13 +123,12 @@ def collocation_phase_array(
     """Exact nonlinear phase on the grid; with gauge_shift=True the spatially
     constant `gauge_frequency` is subtracted (the gauged equation's extra
     substep)."""
-    values = to_grid_array(geometry, coeffs)
-    absq = np.abs(values) ** 2
+    values = to_grid_array(geometry, coeffs, shifted=True)
+    absq = geometry.scale**2 * np.abs(values) ** 2
     freq = 2.0 * params.gamma * params.beta * np.exp(params.beta * absq)
     if gauge_shift:
         freq = freq - gauge_frequency(absq, params, geometry.axes)
-    values = values * np.exp(-1j * t * freq)
-    return from_grid_array(geometry, values)
+    return from_grid_array(geometry, values * np.exp(-1j * t * freq), shifted=True)
 
 
 def _galerkin_work(geometry: TorusGeometry, shape: tuple) -> tuple:
@@ -144,19 +143,17 @@ def galerkin_rhs_array(
     geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams, mask: np.ndarray | None,
     out: np.ndarray | None = None, work: tuple | None = None,
 ) -> np.ndarray:
-    """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u], into `out` when given;
-    the first three buffers of `work` (from `_galerkin_work`) are overwritten.
-    `mask` None stands for P_N = identity on the box."""
+    """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u] (`mask` None: P_N = 1), on
+    the shifted grid, into `out` when given; the first three buffers of `work`
+    (from `_galerkin_work`) are overwritten."""
     box, grid, absq = (work or _galerkin_work(geometry, coeffs.shape))[:3]
-    if mask is not None:
-        coeffs = np.multiply(coeffs, mask, out=box)
-    values = to_grid_array(geometry, coeffs, out=grid)
+    coeffs = coeffs if mask is None else np.multiply(coeffs, mask, out=box)
+    values = to_grid_array(geometry, coeffs, out=grid, shifted=True)
     np.square(np.abs(values, out=absq), out=absq)
-    np.exp(np.multiply(params.beta, absq, out=absq), out=absq)
+    np.exp(np.multiply(params.beta * geometry.scale**2, absq, out=absq), out=absq)
     np.multiply(absq, values, out=values)
-    conv = from_grid_array(geometry, values, out=box)
-    if mask is not None:
-        np.multiply(conv, mask, out=conv)
+    conv = from_grid_array(geometry, values, out=box, shifted=True)
+    conv = conv if mask is None else np.multiply(conv, mask, out=conv)
     return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
 
 
@@ -193,12 +190,11 @@ def _flow_step(
     linear phase factor and the Galerkin work buffers are made once, here."""
     p = cfg.params
     mask = geometry.euclid_mask(p.n_cut)
-    absq = np.abs(to_grid_array(geometry, coeffs * mask)) ** 2
+    absq = geometry.scale**2 * np.abs(to_grid_array(geometry, coeffs * mask, shifted=True)) ** 2
     peak, limit = p.beta * float(np.max(absq, initial=0.0)), math.log(np.finfo(float).max)
     if peak > limit:
         raise ValueError(f"beta max|Pi_N u0|^2 = {peak:.6g} exceeds the exp limit {limit:.6g}")
-    if mask.all():  # P_N is the identity on the box, as in d = 1 at n_cut = n_max
-        mask = None
+    mask = None if mask.all() else mask  # P_N = 1 on the box, as in d = 1 at n_cut = n_max
     omega = dispersion_weights(geometry, p.alpha, cfg.dispersion_symbol)
     strang = cfg.scheme == "strang"
     # Strang: linear(dt/2) o nonlinear(dt) o linear(dt/2); Lie: nonlinear o linear

@@ -59,13 +59,6 @@ class CoeffSequence:
     def from_dict(cls, entries: dict) -> "CoeffSequence":
         return cls(np.array(list(entries.keys())), np.array(list(entries.values())))
 
-    @classmethod
-    def from_spectral(cls, u: SpectralField) -> "CoeffSequence":
-        if u.geometry.d != 1:
-            raise ValueError("coefficient sequences are d=1 only")
-        keep = u.coeffs != 0
-        return cls(u.geometry.modes[keep], u.coeffs[keep] / math.sqrt(TWO_PI))
-
     def get(self, n: int) -> complex:
         hit = np.flatnonzero(self.modes == n)
         return complex(self.coeffs[hit[0]]) if hit.size else 0.0
@@ -112,7 +105,7 @@ def mean_functional(f) -> complex:
 
 def gauge_value(u: SpectralField, params: ModelParams) -> float:
     """Closed-form gauge frequency G(u) = 2 gamma beta A[(1+beta|u|^2)e^{beta|u|^2}]."""
-    absq = np.abs(to_grid_array(u.geometry, u.coeffs)) ** 2
+    absq = u.geometry.scale**2 * np.abs(to_grid_array(u.geometry, u.coeffs, shifted=True)) ** 2
     return gauge_frequency(absq, params, u.geometry.axes).item()
 
 

@@ -151,9 +151,9 @@ def potential_array(
     v = np.empty(len(flat))
     for lo in range(0, len(flat), rows):
         block = flat[lo : lo + rows]
-        values = to_grid_array(geometry, block, out=grid[: len(block)])
+        values = to_grid_array(geometry, block, out=grid[: len(block)], shifted=True)
         v[lo : lo + len(block)] = geometry.quad_weight() * np.sum(
-            np.exp(beta * np.abs(values) ** 2), axis=geometry.axes
+            np.exp(beta * geometry.scale**2 * np.abs(values) ** 2), axis=geometry.axes
         )
     v = v.reshape(batch)[()]
     if clip is not None:
@@ -314,7 +314,7 @@ def tail_fit(
     if r == 2.0:
         norms = sobolev_norm_array(geo, coeffs, s)
     else:
-        values = np.abs(to_grid_array(geo, coeffs * geo.bracket(s)))
+        values = geo.scale * np.abs(to_grid_array(geo, coeffs * geo.bracket(s), shifted=True))
         if math.isinf(r):
             norms = np.max(values, axis=geo.axes)
         else:

@@ -8,6 +8,16 @@ random field is (2pi)^(-d) per mode.
 
 All operations are pure; coefficient arrays may carry arbitrary leading batch
 dimensions (the torus axes are always the trailing ones).
+
+The grid transform pair has two frames: grid values u(x_j), or with
+`shifted=True` v_j = sum_k a_{k-N} e^{i k.x_j} over box indices k = n + N
+(N = n_max), so that u = ramp v with ramp = (2pi)^(-d/2) e^{-i N(x_1+..+x_d)}.
+There box index k is FFT bin k: the synthesis is a zero-padded np.fft.ifft and
+the analysis keeps bins 0..2N.  The kernels that read only |u|^2 = scale^2 |v|^2
+or form u f(|u|^2) work in the shifted frame: the Galerkin and collocation
+substeps, the flow's pre-flight check, the potential, the gauge frequency and
+the tail norms.  That is exact by gauge covariance: the unimodular factor
+e^{i N(x_1+..+x_d)} on u multiplies u f(|u|^2) by the same factor.
 """
 
 from __future__ import annotations
@@ -96,23 +106,21 @@ class TorusGeometry:
 
     @functools.cached_property
     def scale(self) -> float:
-        """Synthesis factor (2pi)^(-d/2) * m * ... * m, multiplied left to
-        right ((2pi)^(-d/2) * m**d differs in the last bit)."""
-        return math.prod((TWO_PI ** (-self.d / 2), *self.grid_shape))
+        """(2pi)^(-d/2): |u| = scale |v| for shifted grid values v."""
+        return TWO_PI ** (-self.d / 2)
 
     @functools.cached_property
     def norm(self) -> float:
-        """Analysis factor (2pi)^(d/2) / m^d."""
-        return TWO_PI ** (self.d / 2) / math.prod(self.grid_shape)
+        """1/m^d, the factor of the shifted analysis."""
+        return 1.0 / math.prod(self.grid_shape)
 
     @functools.cached_property
-    def box_bins(self) -> tuple:
-        """(box, bins) index pairs that place mode n at FFT bin n mod m_grid:
-        per axis, box [N:] goes to bins [:N+1] and box [:N] to bins [m-N:]."""
-        n, m = self.n_max, self.m_grid
-        axis = [(slice(n, None), slice(n + 1)), (slice(n), slice(m - n, m))]
-        pairs = itertools.product(axis, repeat=self.d)
-        return tuple(tuple((Ellipsis, *ix) for ix in zip(*p)) for p in pairs)
+    def ramp(self) -> np.ndarray:
+        """scale e^{-i n_max (x_1+..+x_d)} on the grid (read-only): u = ramp v."""
+        phase = np.exp(-1j * self.x[self.n_max * np.arange(self.m_grid) % self.m_grid])
+        ramp = self.scale * functools.reduce(np.multiply.outer, [phase] * self.d)
+        ramp.flags.writeable = False
+        return ramp
 
     def mode_abs2(self) -> np.ndarray:
         """|n|^2 over the coefficient box."""
@@ -175,48 +183,43 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.geometry, self.coeffs.copy())
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
 
 # ---------------------------------------------------------------------------
 # transforms (array kernels broadcast over leading batch axes)
 # ---------------------------------------------------------------------------
 
 
-# One 1d FFT per torus axis, last axis first as np.fft.ifftn does (ifftn costs
-# twice as much per call on one row), computed in place.
+# One 1d FFT per torus axis in the shifted frame.  The synthesis runs last axis
+# first, so its first pass transforms only the 2N+1 occupied rows; the
+# analysis runs first axis first and keeps bins 0..2N before the next pass.
 
 
 def to_grid_array(
-    geometry: TorusGeometry, coeffs: np.ndarray, out: np.ndarray | None = None
+    geometry: TorusGeometry, coeffs: np.ndarray, out: np.ndarray | None = None,
+    *, shifted: bool = False,
 ) -> np.ndarray:
     """Synthesize grid values from box coefficients (orthonormal basis), into
-    `out` (complex, batch + grid shape) when given."""
-    if out is None:
-        out = np.empty(coeffs.shape[: -geometry.d] + geometry.grid_shape, np.complex128)
-    out.fill(0.0)
-    for box, bins in geometry.box_bins:
-        out[bins] = coeffs[box]
+    `out` (complex, batch + grid shape) when given: u(x_j), or with `shifted`
+    the shifted frame's values."""
     for axis in reversed(geometry.axes):
-        np.fft.ifft(out, axis=axis, out=out)
-    return np.multiply(geometry.scale, out, out=out)
+        last = axis == geometry.axes[0]
+        coeffs = np.fft.ifft(coeffs, geometry.m_grid, axis, "forward", out if last else None)
+    return coeffs if shifted else np.multiply(coeffs, geometry.ramp, out=coeffs)
 
 
 def from_grid_array(
-    geometry: TorusGeometry, values: np.ndarray, out: np.ndarray | None = None
+    geometry: TorusGeometry, values: np.ndarray, out: np.ndarray | None = None,
+    *, shifted: bool = False,
 ) -> np.ndarray:
-    """Analyze grid values into box coefficients (orthonormal basis).  With
-    `out` the coefficients go there and the complex `values` is overwritten by
-    its transform; without it a copy of `values` is transformed."""
-    if out is None:
-        values = values.astype(np.complex128)
-        out = np.empty(values.shape[: -geometry.d] + geometry.box_shape, np.complex128)
-    for axis in reversed(geometry.axes):
-        np.fft.fft(values, axis=axis, out=values)
-    for box, bins in geometry.box_bins:
-        out[box] = values[bins]
-    return np.multiply(geometry.norm, out, out=out)
+    """Analyze grid values (u(x_j), or with `shifted` the shifted frame's) into
+    box coefficients (orthonormal basis), into `out` when given, in which case
+    the complex `values` serves as scratch (else a copy of it does)."""
+    values = values.astype(np.complex128) if out is None else values
+    values = values if shifted else np.divide(values, geometry.ramp, out=values)
+    for axis in geometry.axes:
+        keep = (Ellipsis, slice(2 * geometry.n_max + 1)) + (slice(None),) * (-1 - axis)
+        values = np.fft.fft(values, axis=axis, out=values)[keep]
+    return np.multiply(geometry.norm, values, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from gnls import (
     truncation_convergence,
 )
 from gnls import spectral
-from gnls.dynamics import _galerkin_work, trajectory_to_csv
+from gnls.dynamics import _galerkin_work, galerkin_rhs_array, trajectory_to_csv
 from gnls.spectral import TWO_PI
 
 from conftest import random_field, smooth_field
@@ -151,9 +151,10 @@ def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
     operation order `galerkin_substep_array` must keep bit for bit."""
 
     def rhs(a):
-        values = to_grid_array(geometry, a * mask)
-        values = np.exp(params.beta * np.abs(values) ** 2) * values
-        return -2j * params.gamma * params.beta * (from_grid_array(geometry, values) * mask)
+        values = to_grid_array(geometry, a * mask, shifted=True)
+        values = np.exp(params.beta * geometry.scale**2 * np.abs(values) ** 2) * values
+        conv = from_grid_array(geometry, values, shifted=True)
+        return -2j * params.gamma * params.beta * (conv * mask)
 
     h = t / substeps
     for _ in range(substeps):
@@ -197,6 +198,48 @@ class TestBufferedGalerkin:
         rows = np.stack([0.1 * u0.coeffs, u0.coeffs])
         with pytest.raises(ValueError, match=message):
             evolve_ensemble(geo, rows, cfg)
+
+
+def direct_synthesis(geometry):
+    """The matrix of u(x_j) = (2pi)^(-d/2) sum_n a_n e^{i n.x_j}, points by modes."""
+    d = geometry.d
+    points = np.stack(np.meshgrid(*[geometry.x] * d, indexing="ij"), -1).reshape(-1, d)
+    modes = np.stack(np.meshgrid(*[geometry.modes] * d, indexing="ij"), -1).reshape(-1, d)
+    return np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)
+
+
+class TestShiftedFrameKernels:
+    # no mask in d = 1 at n_cut = n_max; a sharp cut below n_max, or in d = 2
+    # the Euclidean corners of the box, otherwise
+    @pytest.mark.parametrize(
+        "d, n_max, n_cut, batch",
+        [(1, 8, 8, ()), (1, 8, 5, (3,)), (1, 16, 16, (2,)), (2, 4, 4, (2,)), (2, 4, 2, ())],
+    )
+    def test_galerkin_rhs_matches_the_true_frame_formula(self, d, n_max, n_cut, batch):
+        geo = TorusGeometry(d=d, n_max=n_max)
+        p = ModelParams(d=d, alpha=2.0, beta=0.5, gamma=1.0, n_cut=n_cut, geometry=geo)
+        mask = geo.euclid_mask(n_cut)
+        shape = (*batch, *geo.box_shape)
+        a = 0.3 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
+        got = galerkin_rhs_array(geo, a, p, None if mask.all() else mask)
+        # -2i gamma beta P_N[e^{beta |u|^2} u], u = P_N a sampled by the direct sum
+        # and analysed by the direct quadrature
+        synth = direct_synthesis(geo)
+        u = (a * mask).reshape(*batch, -1) @ synth.T
+        f = np.exp(p.beta * np.abs(u) ** 2) * u
+        coeffs = geo.quad_weight() * f @ synth.conj()
+        want = -2j * p.gamma * p.beta * coeffs.reshape(shape) * mask
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d, n_max", [(1, 0), (1, 8), (2, 3)])
+    def test_potential_matches_direct_quadrature(self, d, n_max):
+        geo = TorusGeometry(d=d, n_max=n_max)
+        shape = (5, *geo.box_shape)
+        a = 0.5 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
+        u = a.reshape(5, -1) @ direct_synthesis(geo).T
+        want = geo.quad_weight() * np.sum(np.exp(0.7 * np.abs(u) ** 2), axis=-1)
+        got = potential_array(geo, a, 0.7)
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 class TestFastLengthGrid:

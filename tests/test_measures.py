@@ -145,8 +145,10 @@ class TestObservables:
 
 def one_shot_potential(geo, coeffs, beta, clip=None):
     """V_beta of every row at once, the quadrature before row blocks."""
-    values = to_grid_array(geo, coeffs)
-    v = geo.quad_weight() * np.sum(np.exp(beta * np.abs(values) ** 2), axis=geo.axes)
+    values = to_grid_array(geo, coeffs, shifted=True)
+    v = geo.quad_weight() * np.sum(
+        np.exp(beta * geo.scale**2 * np.abs(values) ** 2), axis=geo.axes
+    )
     return v if clip is None else np.minimum(v, clip)
 
 

@@ -138,18 +138,61 @@ class TestTransforms:
         assert values.tobytes() == kept.tobytes()
         assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
         # into dirty buffers the pair writes the same bits, and the analysis
-        # leaves the unscaled FFT in its grid input
+        # leaves in its grid input the unscaled FFT of the shifted-frame
+        # values (the input over the ramp) on the 2N+1 rows it keeps
         grid = np.full(values.shape, np.nan + 1j)
         assert to_grid_array(geo, a, out=grid) is grid
         assert grid.tobytes() == values.tobytes()
         box = np.full(a.shape, -np.inf + 0j)
         assert from_grid_array(geo, grid, out=box) is box
         assert box.tobytes() == back.tobytes()
-        fft = np.fft.fftn(values, axes=geo.axes)
-        assert np.max(np.abs(grid - fft)) <= 1e-12 * np.max(np.abs(fft))
+        fft = np.fft.fftn(values / geo.ramp, axes=geo.axes)
+        rows = (..., slice(2 * n_max + 1), *[slice(None)] * (d - 1))
+        assert np.max(np.abs(grid[rows] - fft[rows])) <= 1e-12 * np.max(np.abs(fft))
         quad = geo.quad_weight() * np.sum(np.abs(got) ** 2, axis=-1)
         exact = np.sum(np.abs(a.reshape(*batch, -1)) ** 2, axis=-1)
         assert np.allclose(quad, exact, rtol=1e-12, atol=0)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 2),
+        n_max=st.integers(0, 6),
+        # 0: the default grid; -1: the least grid 2N+1; else a prime length
+        m_grid=st.sampled_from([0, -1, 13, 17, 19, 23, 37]),
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shifted_frame(self, d, n_max, m_grid, batch, seed):
+        geo = TorusGeometry(d=d, n_max=n_max, m_grid=2 * n_max + 1 if m_grid == -1 else m_grid)
+        gen = np.random.default_rng(seed)
+        shape = (*batch, *geo.box_shape)
+        a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        shifted = to_grid_array(geo, a, shifted=True)
+        assert shifted.shape == (*batch, *geo.grid_shape)
+        # the ramp takes the shifted frame to the direct sum u(x_j)
+        points = np.stack(np.meshgrid(*[geo.x] * d, indexing="ij"), -1).reshape(-1, d)
+        modes = np.stack(np.meshgrid(*[geo.modes] * d, indexing="ij"), -1).reshape(-1, d)
+        direct = a.reshape(*batch, -1) @ (np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)).T
+        got = (shifted * geo.ramp).reshape(*batch, -1)
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+        # the shifted round trip, and the two frames' analyses agree
+        back = from_grid_array(geo, shifted, shifted=True)
+        assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
+        true_frame = from_grid_array(geo, to_grid_array(geo, a))
+        assert np.max(np.abs(true_frame - back)) <= 1e-12 * np.max(np.abs(a))
+        # into dirty buffers the shifted pair writes the same bits
+        grid = np.full(shifted.shape, np.nan + 1j)
+        assert to_grid_array(geo, a, out=grid, shifted=True) is grid
+        assert grid.tobytes() == shifted.tobytes()
+        box = np.full(a.shape, -np.inf + 0j)
+        assert from_grid_array(geo, grid, out=box, shifted=True) is box
+        assert box.tobytes() == back.tobytes()
+
+    def test_ramp_is_cached_and_read_only(self):
+        geo = TorusGeometry(d=2, n_max=3)
+        assert geo.ramp is geo.ramp and not geo.ramp.flags.writeable
+        assert np.allclose(np.abs(geo.ramp), TWO_PI**-1, rtol=1e-15, atol=0)
 
 
 class TestProjectors:
@@ -229,7 +272,7 @@ class TestNorms:
     def test_s_zero_is_l2(self):
         geo = TorusGeometry(d=1, n_max=8)
         u = random_field(geo, GEN)
-        assert sobolev_norm_array(geo, u.coeffs, 0.0) == pytest.approx(u.l2_norm())
+        assert sobolev_norm_array(geo, u.coeffs, 0.0) == pytest.approx(np.linalg.norm(u.coeffs))
 
 
 class TestSigma:
