@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gnls import ModelParams, RngStream, SpectralField, TorusGeometry
+from gnls.spectral import TWO_PI
 
 
 @pytest.fixture
@@ -26,6 +27,14 @@ def random_field(geometry, gen, decay=1.0, scale=1.0):
     shape = geometry.box_shape
     g = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
     return SpectralField(geometry, scale * g * geometry.bracket(-decay))
+
+
+def direct_synthesis(geometry):
+    """The matrix of u(x_j) = (2pi)^(-d/2) sum_n a_n e^{i n.x_j}, points by modes."""
+    d = geometry.d
+    points = np.stack(np.meshgrid(*[geometry.x] * d, indexing="ij"), -1).reshape(-1, d)
+    modes = np.stack(np.meshgrid(*[geometry.modes] * d, indexing="ij"), -1).reshape(-1, d)
+    return np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)
 
 
 def smooth_field(geometry, bandwidth=3, scale=0.1, seed=7):

@@ -31,7 +31,7 @@ from gnls import spectral
 from gnls.dynamics import _galerkin_work, galerkin_rhs_array, trajectory_to_csv
 from gnls.spectral import TWO_PI
 
-from conftest import random_field, smooth_field
+from conftest import direct_synthesis, random_field, smooth_field
 
 GEN = np.random.default_rng(3)
 
@@ -198,14 +198,6 @@ class TestBufferedGalerkin:
         rows = np.stack([0.1 * u0.coeffs, u0.coeffs])
         with pytest.raises(ValueError, match=message):
             evolve_ensemble(geo, rows, cfg)
-
-
-def direct_synthesis(geometry):
-    """The matrix of u(x_j) = (2pi)^(-d/2) sum_n a_n e^{i n.x_j}, points by modes."""
-    d = geometry.d
-    points = np.stack(np.meshgrid(*[geometry.x] * d, indexing="ij"), -1).reshape(-1, d)
-    modes = np.stack(np.meshgrid(*[geometry.modes] * d, indexing="ij"), -1).reshape(-1, d)
-    return np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)
 
 
 class TestShiftedFrameKernels:

@@ -24,7 +24,7 @@ from gnls import (
 )
 from gnls.spectral import TWO_PI
 
-from conftest import random_field
+from conftest import direct_synthesis, random_field
 
 GEN = np.random.default_rng(0)
 
@@ -126,10 +126,7 @@ class TestTransforms:
         values = to_grid_array(geo, a)
         assert values.shape == (*batch, *geo.grid_shape)
         # the direct sum (2pi)^(-d/2) sum_n a_n e^{i n.x} at every grid point
-        points = np.stack(np.meshgrid(*[geo.x] * d, indexing="ij"), -1).reshape(-1, d)
-        modes = np.stack(np.meshgrid(*[geo.modes] * d, indexing="ij"), -1).reshape(-1, d)
-        basis = np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)
-        direct = a.reshape(*batch, -1) @ basis.T
+        direct = a.reshape(*batch, -1) @ direct_synthesis(geo).T
         got = values.reshape(*batch, -1)
         assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the round trip and Parseval, row by row
@@ -171,9 +168,7 @@ class TestTransforms:
         shifted = to_grid_array(geo, a, shifted=True)
         assert shifted.shape == (*batch, *geo.grid_shape)
         # the ramp takes the shifted frame to the direct sum u(x_j)
-        points = np.stack(np.meshgrid(*[geo.x] * d, indexing="ij"), -1).reshape(-1, d)
-        modes = np.stack(np.meshgrid(*[geo.modes] * d, indexing="ij"), -1).reshape(-1, d)
-        direct = a.reshape(*batch, -1) @ (np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)).T
+        direct = a.reshape(*batch, -1) @ direct_synthesis(geo).T
         got = (shifted * geo.ramp).reshape(*batch, -1)
         assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the shifted round trip, and the two frames' analyses agree
