@@ -44,6 +44,14 @@ CONFIGS = {
         "params": _LOW,
         "flow": {"dt": 0.01, "t_final": 0.05, "store_every": 2},
     },
+    # 20 Galerkin steps at dt 0.05: unlike "evolve", a rounding-level change
+    # of the right-hand side (one ulp) moves its snapshots
+    "evolve-galerkin": {
+        "experiment": "evolve",
+        "seed": 1,
+        "params": _LOW,
+        "flow": {"dt": 0.05, "t_final": 1.0, "store_every": 5},
+    },
     "invariance": {
         "experiment": "invariance",
         "seed": 0,
