@@ -152,7 +152,7 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "."
     threads: int = 1  # GNLS_THREADS overrides it
-    ensemble: int = 1000
+    ensemble: int = field(default=1000, metadata={"min": 2})
     t_horizon: float = 1.0
     mode: str | None = None
     flow: FlowBlock = FlowBlock()
@@ -323,7 +323,9 @@ def _paired_stats(diffs: np.ndarray, weights: np.ndarray, scale: float = 1.0):
     # their z-statistic is 0/0 noise, so report an exact pass instead
     if np.max(np.abs(diffs)) <= 1e-12 * max(scale, 1e-300):
         return est, se, 0.0, ess
-    z = est / se if se > 0 else 0.0
+    # a zero stderr on real differences (one row, or one surviving weight)
+    # measures no spread, so there is no z to test either
+    z = est / se if se > 0 else math.nan
     return est, se, z, ess
 
 

@@ -238,6 +238,9 @@ class TestCli:
             ("variational", {"variational": {"l_ladder": [10.0]}}, "variational.l_ladder"),
             ("truncation", {"truncation": {"n_ladder": [8]}}, "truncation.n_ladder"),
             ("variational", {"variational": {"n_ladder": []}}, "variational.n_ladder"),
+            # an ensemble of one has stderr 0; of none, nothing to concatenate
+            ("invariance", {"ensemble": 1}, "ensemble"),
+            ("invariance", {"ensemble": 0}, "ensemble"),
         ],
     )
     def test_rejected_config_exits_one_before_output(

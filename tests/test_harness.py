@@ -18,7 +18,7 @@ from gnls import (
 )
 from gnls import experiments
 from gnls.dynamics import FlowConfig
-from gnls.harness import ConfigError, thread_count
+from gnls.harness import ConfigError, _paired_stats, thread_count
 from gnls.measures import sample_gaussian_coeffs, weighted_mean_stderr
 from gnls.spectral import TWO_PI
 from gnls.variational import ObjectiveReport
@@ -113,6 +113,18 @@ class TestInvariance:
         # a NaN stderr reads as no test at all, never as an exact pass
         assert math.isnan(rep.max_abs_z) and math.isnan(rep.control_z)
         assert all(math.isnan(d["z"]) for d in rep.observables.values())
+
+    def test_single_row_does_not_pass(self):
+        # one row has stderr 0: its differences measure no spread at all
+        p, cfg = small_invariance_setup()
+        rep = invariance_test(p, cfg, 0.5, 1, RngStream(4))
+        assert not rep.passed
+        assert math.isnan(rep.observables["potential"]["z"]) and math.isnan(rep.max_abs_z)
+
+    def test_single_surviving_weight_gives_no_z(self):
+        # the other rows' weights underflowed to 0, so the stderr is 0 too
+        z = _paired_stats(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.0, 0.0]))[2]
+        assert math.isnan(z)
 
     def test_overflowing_flow_raises(self):
         # the flow overflows on 197 of 200 rows of this ensemble
