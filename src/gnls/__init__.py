@@ -8,13 +8,10 @@ from .spectral import (
     dispersion_weights,
     from_grid_array,
     load_snapshot,
-    project,
     save_snapshot,
     sigma,
-    smooth_project,
     sobolev_norm_array,
     to_grid_array,
-    weyl_count,
 )
 from .measures import (
     GibbsEnsemble,
@@ -29,7 +26,6 @@ from .measures import (
     potential_array,
     sample_gaussian,
     sample_gaussian_coeffs,
-    tail_fit,
 )
 from .dynamics import (
     FlowConfig,
@@ -38,7 +34,6 @@ from .dynamics import (
     evolve,
     evolve_ensemble,
     galerkin_substep_array,
-    linear_phase_array,
     liouville_check,
     truncation_convergence,
 )
@@ -49,15 +44,12 @@ from .gauge import (
     decomposition_check,
     gauge_value,
     gauged_flow_equivalence,
-    mean_functional,
     multilinear_n,
     multilinear_r,
 )
 from .variational import (
-    BumpField,
     DriftPath,
     VariationalConfig,
-    build_bump,
     bump_norm_scan,
     divergence_scan,
     drift_cost,

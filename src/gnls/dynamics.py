@@ -84,25 +84,15 @@ class FlowConfig:
 class Trajectory:
     """Time stamps, stored snapshots and per-step conservation diagnostics."""
 
-    geometry: TorusGeometry
     times: np.ndarray
     snapshots: list  # list[SpectralField], every store_every-th step
     snapshot_times: np.ndarray
     diagnostics: dict  # name -> array over all macro steps, stamped by times
 
-    def final(self) -> SpectralField:
-        return self.snapshots[-1]
-
 
 # ---------------------------------------------------------------------------
 # substeps (array kernels; leading batch axes broadcast)
 # ---------------------------------------------------------------------------
-
-
-def linear_phase_array(coeffs: np.ndarray, t: float, omega: np.ndarray) -> np.ndarray:
-    """Exact linear flow: rotates mode n by exp(-2i t omega_n), with omega
-    from `dispersion_weights`."""
-    return coeffs * np.exp(-2j * t * omega)
 
 
 def gauge_frequency(absq: np.ndarray, params: ModelParams, axes) -> np.ndarray:
@@ -273,7 +263,7 @@ def evolve(
             if not finite.all():
                 bad = start + int(np.argmin(finite))
                 raise ValueError(f"the flow is not finite at step {bad} (t = {times[bad]:g})")
-    return Trajectory(geometry, times, snaps, np.array(snap_times), diags)
+    return Trajectory(times, snaps, np.array(snap_times), diags)
 
 
 def evolve_ensemble(

@@ -17,14 +17,13 @@ identity above closes (verified coefficientwise by `decomposition_check`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import FlowConfig, Trajectory, evolve, gauge_frequency
 from .measures import ModelParams
-from .spectral import SpectralField, TWO_PI, to_grid_array
+from .spectral import SpectralField, to_grid_array
 
 ENUMERATION_BUDGET = 10**8
 _CHUNK = 1 << 21
@@ -88,36 +87,14 @@ class MultilinearSpec:
 
 
 # ---------------------------------------------------------------------------
-# mean and gauge functionals
+# gauge functional
 # ---------------------------------------------------------------------------
-
-
-def mean_functional(f) -> complex:
-    """A[f] = (1/2pi) int f dx, the zeroth standard Fourier coefficient."""
-    if isinstance(f, CoeffSequence):
-        return f.get(0)
-    if isinstance(f, SpectralField):
-        if f.geometry.d != 1:
-            raise ValueError("mean functional is d=1 only")
-        return complex(f.coeffs[f.geometry.n_max] / math.sqrt(TWO_PI))
-    raise TypeError(f"unsupported input {type(f)!r}")
 
 
 def gauge_value(u: SpectralField, params: ModelParams) -> float:
     """Closed-form gauge frequency G(u) = 2 gamma beta A[(1+beta|u|^2)e^{beta|u|^2}]."""
     absq = u.geometry.scale**2 * np.abs(to_grid_array(u.geometry, u.coeffs, shifted=True)) ** 2
     return gauge_frequency(absq, params, u.geometry.axes).item()
-
-
-def gauge_value_series(u: SpectralField, params: ModelParams, terms: int = 50) -> float:
-    """Series oracle 2 gamma beta sum_k (beta^k / k!) (k+1) A[|u|^{2k}]."""
-    absq = np.abs(to_grid_array(u.geometry, u.coeffs)) ** 2
-    total = 0.0
-    term = np.ones_like(absq)  # beta^k |u|^{2k} / k!
-    for k in range(terms):
-        total += (k + 1) * float(np.mean(term))
-        term = term * params.beta * absq / (k + 1)
-    return 2.0 * params.gamma * params.beta * total
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +155,6 @@ def apply_gauge(
         for s, p in zip(traj.snapshots, phase)
     ]
     return Trajectory(
-        traj.geometry,
         traj.times,
         snaps,
         traj.snapshot_times,

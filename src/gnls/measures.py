@@ -22,7 +22,6 @@ from .spectral import (
     _block_rows,
     dispersion_weights,
     sigma,
-    sobolev_norm_array,
     to_grid_array,
 )
 
@@ -255,7 +254,7 @@ def gibbs_ensemble(
 
 
 # ---------------------------------------------------------------------------
-# closed-form moment oracle and tail fitting
+# closed-form moment oracle
 # ---------------------------------------------------------------------------
 
 
@@ -272,59 +271,3 @@ def exp_moment_oracle(params: ModelParams, p: float) -> float:
             f"p*beta*sigma = {c:.6g} >= 1: exponential moment is infinite"
         )
     return 1.0 / (1.0 - c)
-
-
-@dataclass
-class TailFit:
-    """Least-squares fit of log P(||u|| > R) against R^2."""
-
-    slope: float
-    intercept: float
-    thresholds: np.ndarray
-    log_freq: np.ndarray
-    degenerate: bool
-
-
-def tail_fit(
-    params: ModelParams,
-    s: float,
-    r: float,
-    r_grid: np.ndarray,
-    m: int,
-    rng: RngStream,
-    band: tuple[int, int] | None = None,
-    scale: float = 1.0,
-) -> TailFit:
-    """Empirical Gaussian tail: fit log P(||Pi_{<=N2} Pi_{>N1} u||_{W^{s,r}} > R)
-    as an affine function of -R^2; the slope must come out negative.
-
-    Requires alpha - 2s > d so the weighted variance converges.  `band`
-    selects the spectral increment (N1, N2]; by default all modes <= n_cut.
-    `scale` multiplies the samples (used to check Gaussian rescaling).
-    """
-    if params.alpha - 2.0 * s <= params.d:
-        raise ValueError("need alpha - 2s > d for a convergent tail variance")
-    geo = params.geometry
-    gen = rng.generator()
-    coeffs = scale * sample_gaussian_coeffs(params, gen, m)
-    if band is not None:
-        n1, n2 = band
-        inc = geo.euclid_mask(n2) & ~geo.euclid_mask(n1)
-        coeffs = coeffs * inc
-    if r == 2.0:
-        norms = sobolev_norm_array(geo, coeffs, s)
-    else:
-        values = geo.scale * np.abs(to_grid_array(geo, coeffs * geo.bracket(s), shifted=True))
-        if math.isinf(r):
-            norms = np.max(values, axis=geo.axes)
-        else:
-            norms = (geo.quad_weight() * np.sum(values**r, axis=geo.axes)) ** (1.0 / r)
-    r_grid = np.asarray(r_grid, dtype=float)
-    freq = np.array([(norms > rr).mean() for rr in r_grid])
-    ok = freq > 0
-    if np.max(norms) == 0.0 or ok.sum() < 2:
-        return TailFit(math.nan, math.nan, r_grid, np.log(freq, where=freq > 0, out=np.full_like(freq, -np.inf)), True)
-    x = r_grid[ok] ** 2
-    y = np.log(freq[ok])
-    slope, intercept = np.polyfit(x, y, 1)
-    return TailFit(float(slope), float(intercept), r_grid, y, False)

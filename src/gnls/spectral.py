@@ -15,8 +15,8 @@ The grid transform pair has two frames: grid values u(x_j), or with
 There box index k is FFT bin k: the synthesis is a zero-padded np.fft.ifft and
 the analysis keeps bins 0..2N.  The kernels that read only |u|^2 = scale^2 |v|^2
 or form u f(|u|^2) work in the shifted frame: the Galerkin and collocation
-substeps, the flow's pre-flight check, the potential, the gauge frequency and
-the tail norms.  That is exact by gauge covariance: the unimodular factor
+substeps, the flow's pre-flight check, the potential and the gauge frequency.
+That is exact by gauge covariance: the unimodular factor
 e^{i N(x_1+..+x_d)} on u multiplies u f(|u|^2) by the same factor.
 """
 
@@ -180,9 +180,6 @@ class SpectralField:
             u.coeffs[tuple(np.atleast_1d(n) + geometry.n_max)] = c
         return u
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.geometry, self.coeffs.copy())
-
 
 # ---------------------------------------------------------------------------
 # transforms (array kernels broadcast over leading batch axes)
@@ -223,41 +220,8 @@ def from_grid_array(
 
 
 # ---------------------------------------------------------------------------
-# projectors and norms
+# norms and symbols
 # ---------------------------------------------------------------------------
-
-
-def project(u: SpectralField, n_cut: float) -> SpectralField:
-    """Sharp projector onto Euclidean frequencies |n| <= n_cut."""
-    if n_cut < 0:
-        raise ValueError("cutoff must be nonnegative")
-    mask = u.geometry.euclid_mask(n_cut)
-    return SpectralField(u.geometry, np.where(mask, u.coeffs, 0.0))
-
-
-def _smooth_bump(r: np.ndarray) -> np.ndarray:
-    """C^inf cutoff: 1 on [0,1/2], 0 on [1,inf), smooth in between."""
-    r = np.abs(np.asarray(r, dtype=float))
-    out = np.zeros_like(r)
-    out[r <= 0.5] = 1.0
-    mid = (r > 0.5) & (r < 1.0)
-    s = (r[mid] - 0.5) * 2.0
-    g0 = np.exp(-1.0 / (1.0 - s))
-    g1 = np.exp(-1.0 / s)
-    out[mid] = g0 / (g0 + g1)
-    return out
-
-
-def smooth_project(u: SpectralField, n_cut: float, profile=None) -> SpectralField:
-    """Smooth projector: multiplies a_n by chi(|n|^2 / n_cut^2).
-
-    The profile must equal 1 on [-1/2, 1/2] and vanish outside [-1, 1];
-    the default is a standard C^inf bump.
-    """
-    if profile is None:
-        profile = _smooth_bump
-    r = u.geometry.mode_abs2() / float(n_cut) ** 2
-    return SpectralField(u.geometry, u.coeffs * profile(r))
 
 
 def sobolev_norm_array(
@@ -358,19 +322,6 @@ def sigma(alpha: float, n_cut: float, d: int) -> float:
     geometry = TorusGeometry(2, int(n_cut))
     total = float(np.sum(geometry.bracket(-alpha)[geometry.euclid_mask(n_cut)]))
     return total / TWO_PI**2
-
-
-def weyl_count(lam: float, d: int) -> int:
-    """Number of lattice points n in Z^d with |n| <= lam."""
-    if lam < 0:
-        raise ValueError("threshold must be nonnegative")
-    if d == 1:
-        return 2 * int(math.floor(lam)) + 1
-    if d == 2:
-        n1 = np.arange(-int(math.floor(lam)), int(math.floor(lam)) + 1)
-        rem = lam * lam - n1 * n1
-        return int(np.sum(2 * np.floor(np.sqrt(np.maximum(rem, 0.0))) + 1))
-    raise ValueError("dimension must be 1 or 2")
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .measures import (
     weighted_mean_stderr,
 )
 from .spectral import (
-    SpectralField,
     TorusGeometry,
     TWO_PI,
     _block_rows,
@@ -39,15 +38,6 @@ from .spectral import (
 # ---------------------------------------------------------------------------
 # bump fields
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BumpField:
-    """Real bump f_N(x) = N^(-1/2) pi^(-1) sum_{N<n<=2N} cos(n(x-x0))."""
-
-    field: SpectralField
-    n_scale: int
-    center: float
 
 
 def bump_coeffs(geometry: TorusGeometry, n_scale: int, x0: float) -> np.ndarray:
@@ -63,11 +53,6 @@ def bump_coeffs(geometry: TorusGeometry, n_scale: int, x0: float) -> np.ndarray:
     ann = (np.abs(m) > n_scale) & (np.abs(m) <= 2 * n_scale)
     amp = 1.0 / math.sqrt(TWO_PI * n_scale)
     return np.where(ann, amp * np.exp(-1j * m * x0), 0.0)
-
-
-def build_bump(n_scale: int, x0: float, geometry: TorusGeometry) -> BumpField:
-    coeffs = bump_coeffs(geometry, n_scale, x0)
-    return BumpField(SpectralField(geometry, coeffs), n_scale, x0)
 
 
 @dataclass
@@ -95,12 +80,12 @@ def bump_norm_scan(
     sob = {s: [] for s in s_list}
     for n in n_ladder:
         geo = TorusGeometry(d=1, n_max=2 * n, oversampling=oversampling)
-        bump = build_bump(n, x0, geo)
-        l2_sq.append(float(np.sum(np.abs(bump.field.coeffs) ** 2)))
-        values = to_grid_array(geo, bump.field.coeffs)
+        bump = bump_coeffs(geo, n, x0)
+        l2_sq.append(float(np.sum(np.abs(bump) ** 2)))
+        values = to_grid_array(geo, bump)
         sup.append(float(np.max(np.abs(values.real))))
         for s in s_list:
-            sob[s].append(float(sobolev_norm_array(geo, bump.field.coeffs, s)))
+            sob[s].append(float(sobolev_norm_array(geo, bump, s)))
         x = geo.x
         dist = np.abs((x - x0 + math.pi) % TWO_PI - math.pi)
         nearby = dist <= 0.1 / n

@@ -18,7 +18,6 @@ from gnls import (
     sample_gaussian,
     sample_gaussian_coeffs,
     sigma,
-    tail_fit,
     to_grid_array,
 )
 from gnls import spectral
@@ -297,41 +296,3 @@ class TestReports:
         assert est_w == pytest.approx(est_p)
         # linearized weighted SE uses the 1/n normalization
         assert se_w == pytest.approx(se_p * math.sqrt(9.0 / 10.0), rel=1e-12)
-
-
-class TestTailFit:
-    def test_slope_negative(self):
-        p = make_params(alpha=2.0, n_cut=16)
-        fit = tail_fit(p, 0.0, 2.0, np.linspace(0.5, 2.5, 9), 4000, RngStream(31))
-        assert not fit.degenerate
-        assert fit.slope < 0
-
-    def test_variance_scaling_halves_slope(self):
-        p = make_params(alpha=2.0, n_cut=16)
-        grid = np.linspace(0.5, 2.5, 9)
-        f1 = tail_fit(p, 0.0, 2.0, grid, 20000, RngStream(32))
-        f2 = tail_fit(
-            p, 0.0, 2.0, math.sqrt(2.0) * grid, 20000, RngStream(32), scale=math.sqrt(2.0)
-        )
-        # doubling the variance halves the Gaussian rate in R^2
-        assert f2.slope == pytest.approx(0.5 * f1.slope, rel=0.2)
-
-    def test_degenerate_band(self):
-        p = make_params(alpha=2.0, n_cut=16)
-        fit = tail_fit(
-            p, 0.0, 2.0, np.linspace(0.5, 1.5, 4), 100, RngStream(33), band=(4, 4)
-        )
-        assert fit.degenerate
-        assert math.isnan(fit.slope)
-
-    def test_requires_convergent_variance(self):
-        p = make_params(alpha=2.0, n_cut=8)
-        with pytest.raises(ValueError):
-            tail_fit(p, 0.6, 2.0, np.linspace(0.5, 1.5, 4), 100, RngStream(34))
-
-    def test_sup_norm_variant_runs(self):
-        p = make_params(alpha=3.0, n_cut=8)
-        fit = tail_fit(
-            p, 0.5, math.inf, np.linspace(0.5, 2.0, 6), 2000, RngStream(35)
-        )
-        assert fit.slope < 0

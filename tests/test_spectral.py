@@ -14,23 +14,16 @@ from gnls import (
     TorusGeometry,
     from_grid_array,
     load_snapshot,
-    project,
     save_snapshot,
     sigma,
-    smooth_project,
     sobolev_norm_array,
     to_grid_array,
-    weyl_count,
 )
 from gnls.spectral import TWO_PI
 
 from conftest import direct_synthesis, random_field
 
 GEN = np.random.default_rng(0)
-
-
-def inner(u, v):
-    return complex(np.sum(np.conj(u.coeffs) * v.coeffs))
 
 
 def smooth11(m):
@@ -191,65 +184,39 @@ class TestTransforms:
 
 
 class TestProjectors:
+    """The sharp projector onto |n| <= n_cut is the product with
+    `euclid_mask(n_cut)`."""
+
     def test_projector_zero_keeps_mean(self):
         geo = TorusGeometry(d=1, n_max=5)
         u = random_field(geo, GEN)
-        p = project(u, 0)
-        assert np.count_nonzero(p.coeffs) == 1
-        assert p.coeffs[geo.n_max] == u.coeffs[geo.n_max]
+        p = u.coeffs * geo.euclid_mask(0)
+        assert np.count_nonzero(p) == 1
+        assert p[geo.n_max] == u.coeffs[geo.n_max]
 
     def test_idempotent(self):
         geo = TorusGeometry(d=2, n_max=4)
         u = random_field(geo, GEN)
-        once = project(u, 2.5)
-        twice = project(once, 2.5)
-        assert np.array_equal(once.coeffs, twice.coeffs)
+        once = u.coeffs * geo.euclid_mask(2.5)
+        twice = once * geo.euclid_mask(2.5)
+        assert np.array_equal(once, twice)
 
     def test_self_adjoint(self):
         geo = TorusGeometry(d=1, n_max=8)
+        mask = geo.euclid_mask(3)
         for _ in range(5):
-            u, v = random_field(geo, GEN), random_field(geo, GEN)
-            lhs = inner(project(u, 3), v)
-            rhs = inner(u, project(v, 3))
+            u, v = random_field(geo, GEN).coeffs, random_field(geo, GEN).coeffs
+            lhs = np.vdot(u * mask, v)
+            rhs = np.vdot(u, v * mask)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_euclidean_ball_d2(self):
         geo = TorusGeometry(d=2, n_max=3)
         u = SpectralField.from_modes(geo, {(1, 1): 1.0, (1, 0): 1.0})
-        p = project(u, 1)
+        p = u.coeffs * geo.euclid_mask(1)
         # |(1,1)| = sqrt(2) > 1 removed, |(1,0)| = 1 kept
-        assert p.coeffs[geo.n_max + 1, geo.n_max + 1] == 0
-        assert p.coeffs[geo.n_max + 1, geo.n_max] == 1.0
-
-    def test_smooth_projector_plateau_and_support(self):
-        geo = TorusGeometry(d=1, n_max=16)
-        u = random_field(geo, GEN)
-        p = smooth_project(u, 8)
-        low = np.abs(geo.modes) <= 8 / math.sqrt(2.0)
-        high = np.abs(geo.modes) > 8
-        assert np.array_equal(p.coeffs[low], u.coeffs[low])
-        assert np.all(p.coeffs[high] == 0)
-
-    def test_smooth_projector_custom_profile(self):
-        geo = TorusGeometry(d=1, n_max=8)
-        u = random_field(geo, GEN)
-        hard = lambda r: (np.asarray(r) <= 1.0).astype(float)  # noqa: E731
-        p = smooth_project(u, 4, profile=hard)
-        keep = geo.mode_abs2() <= 16.0
-        assert np.array_equal(p.coeffs, np.where(keep, u.coeffs, 0.0))
-
-    def test_smooth_projector_converges(self):
-        geo = TorusGeometry(d=1, n_max=64)
-        u = random_field(geo, GEN, decay=2.0)
-        errs = []
-        for n in (8, 16, 32):
-            p = smooth_project(u, n)
-            # independent oracle: the tail below the chi = 1 plateau
-            diff = p.coeffs - u.coeffs
-            errs.append(np.linalg.norm(diff))
-            tail = np.linalg.norm(u.coeffs[np.abs(geo.modes) > n / math.sqrt(2)])
-            assert errs[-1] <= tail + 1e-15
-        assert errs[0] > errs[1] > errs[2]
+        assert p[geo.n_max + 1, geo.n_max + 1] == 0
+        assert p[geo.n_max + 1, geo.n_max] == 1.0
 
 
 class TestNorms:
@@ -305,20 +272,26 @@ class TestSigma:
 
 
 class TestWeyl:
+    """`euclid_mask(lam)` keeps the lattice points of the ball |n| <= lam."""
+
+    @staticmethod
+    def count(lam, d):
+        return int(np.count_nonzero(TorusGeometry(d=d, n_max=math.ceil(lam)).euclid_mask(lam)))
+
     def test_d1_examples(self):
-        assert weyl_count(3, 1) == 7
-        assert weyl_count(0, 1) == 1
+        assert self.count(3, 1) == 7
+        assert self.count(0, 1) == 1
 
     def test_d2_unit_ball(self):
-        assert weyl_count(1, 2) == 5
+        assert self.count(1, 2) == 5
 
     def test_d1_ratio_limit(self):
         # ratio is exactly 2 + 1/lam, so 5% is first met at lam = 10
         for lam in (10, 100, 1000):
-            assert weyl_count(lam, 1) / lam == pytest.approx(2.0, rel=0.0501)
+            assert self.count(lam, 1) / lam == pytest.approx(2.0, rel=0.0501)
 
     def test_d2_area_law(self):
-        assert weyl_count(50, 2) / 50.0**2 == pytest.approx(math.pi, rel=0.01)
+        assert self.count(50, 2) / 50.0**2 == pytest.approx(math.pi, rel=0.01)
 
 
 class TestSnapshots:
