@@ -119,6 +119,14 @@ def main(argv=None) -> int:
         print(f"gnls: error: {exc}", file=sys.stderr)
         return 1
     print(text)
+    if args.dry_run:  # the grid the run would use, which no config key states
+        geo = config.params.geometry
+        print(
+            f"gnls: grid d = {geo.d}, n_max = {geo.n_max}, m_grid = {geo.m_grid}, "
+            f"oversampling = {geo.oversampling:.6g}, "
+            f"transform = {'fft' if geo.dft is None else 'dense'}",
+            file=sys.stderr,
+        )
     return result.exit_code
 
 

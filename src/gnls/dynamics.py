@@ -103,22 +103,35 @@ def gauge_frequency(absq: np.ndarray, params: ModelParams, axes) -> np.ndarray:
     return 2.0 * params.gamma * b * mean
 
 
+def _collocation_work(geometry: TorusGeometry, shape: tuple) -> tuple:
+    """Work buffers of the collocation substep for states of `shape`: the
+    grid values, |u|^2 (then the frequency) and the phase factor."""
+    grid = shape[: len(shape) - geometry.d] + geometry.grid_shape
+    return np.empty(grid, np.complex128), np.empty(grid), np.empty(grid, np.complex128)
+
+
 def collocation_phase_array(
     geometry: TorusGeometry,
     coeffs: np.ndarray,
     t: float,
     params: ModelParams,
     gauge_shift: bool = False,
+    work: tuple | None = None,
 ) -> np.ndarray:
     """Exact nonlinear phase on the grid; with gauge_shift=True the spatially
     constant `gauge_frequency` is subtracted (the gauged equation's extra
-    substep)."""
-    values = to_grid_array(geometry, coeffs, shifted=True)
-    absq = geometry.scale**2 * np.abs(values) ** 2
-    freq = 2.0 * params.gamma * params.beta * np.exp(params.beta * absq)
-    if gauge_shift:
-        freq = freq - gauge_frequency(absq, params, geometry.axes)
-    return from_grid_array(geometry, values * np.exp(-1j * t * freq), shifted=True)
+    substep).  The grid lives in the buffers `work` of `_collocation_work`,
+    which a call overwrites; the result is always a fresh array."""
+    values, absq, rotation = work or _collocation_work(geometry, coeffs.shape)
+    values = to_grid_array(geometry, coeffs, out=values, shifted=True)
+    np.multiply(geometry.scale**2, np.square(np.abs(values, out=absq), out=absq), out=absq)
+    shift = gauge_frequency(absq, params, geometry.axes) if gauge_shift else None
+    freq = np.exp(np.multiply(params.beta, absq, out=absq), out=absq)
+    freq = np.multiply(2.0 * params.gamma * params.beta, freq, out=freq)
+    freq = freq if shift is None else np.subtract(freq, shift, out=freq)
+    np.exp(np.multiply(-1j * t, freq, out=rotation), out=rotation)
+    np.multiply(values, rotation, out=values)  # numpy's complex product rounds by operand order
+    return from_grid_array(geometry, values, np.empty_like(coeffs, np.complex128), shifted=True)
 
 
 def _galerkin_work(geometry: TorusGeometry, shape: tuple) -> tuple:
@@ -177,7 +190,7 @@ def _flow_step(
 ):
     """The macro step of `cfg` for states shaped like `coeffs`, after the
     pre-flight check that exp(beta |Pi_N u|^2) of `coeffs` is finite.  The
-    linear phase factor and the Galerkin work buffers are made once, here."""
+    linear phase factor and the substep's work buffers are made once, here."""
     p = cfg.params
     mask = geometry.euclid_mask(p.n_cut)
     absq = geometry.scale**2 * np.abs(to_grid_array(geometry, coeffs * mask, shifted=True)) ** 2
@@ -189,12 +202,12 @@ def _flow_step(
     strang = cfg.scheme == "strang"
     # Strang: linear(dt/2) o nonlinear(dt) o linear(dt/2); Lie: nonlinear o linear
     phase = np.exp(-2j * (0.5 * dt if strang else dt) * omega)
-    work = _galerkin_work(geometry, coeffs.shape) if mode == "galerkin" else None
+    work = (_galerkin_work if mode == "galerkin" else _collocation_work)(geometry, coeffs.shape)
 
     def step(a: np.ndarray) -> np.ndarray:
         a = a * phase
         if mode == "collocation":
-            a = collocation_phase_array(geometry, a, dt, p, gauge_shift)
+            a = collocation_phase_array(geometry, a, dt, p, gauge_shift, work)
         else:
             a = galerkin_substep_array(
                 geometry, a, dt, p, cfg.nonlinear_substeps, mask, work

@@ -18,6 +18,17 @@ or form u f(|u|^2) work in the shifted frame: the Galerkin and collocation
 substeps, the flow's pre-flight check, the potential and the gauge frequency.
 That is exact by gauge covariance: the unimodular factor
 e^{i N(x_1+..+x_d)} on u multiplies u f(|u|^2) by the same factor.
+
+The shifted-frame transform has two paths, chosen by the geometry.  A d = 1
+box with K M <= 2048 (K = 2N+1 modes, M = m_grid points; N <= 10 at the
+default oversampling) multiplies by the cached dense matrices
+`TorusGeometry.dft`; every other box runs pocketfft.  At these sizes a zgemm
+costs less than numpy's FFT wrapper.  Two facts of OpenBLAS shape the dense
+path: it runs a zgemm with m n k <= 2^16 on the calling thread, so rows go in
+stacked items of at most 2^16 // (K M) rows and never start BLAS threads
+beside the ensemble's own; and it rounds a one-row product (a zgemv)
+differently, so a lone row is computed as two.  A row's bits then depend on
+neither its batch nor its position in it.
 """
 
 from __future__ import annotations
@@ -115,6 +126,20 @@ class TorusGeometry:
         return 1.0 / math.prod(self.grid_shape)
 
     @functools.cached_property
+    def dft(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The shifted frame's dense synthesis matrix (K x M, entries
+        e^{2pi i (k j mod M)/M}) and analysis matrix (M x K, its conjugate
+        transpose over M), read-only, for a d = 1 box with K M <= _DENSE_SIZE;
+        None for a box that the FFT transforms."""
+        k, m = 2 * self.n_max + 1, self.m_grid
+        if self.d != 1 or k * m > _DENSE_SIZE:
+            return None
+        synthesis = np.exp(1j * self.x[np.arange(k)[:, None] * np.arange(m) % m])
+        analysis = np.ascontiguousarray(synthesis.conj().T) * self.norm
+        synthesis.flags.writeable = analysis.flags.writeable = False
+        return synthesis, analysis
+
+    @functools.cached_property
     def ramp(self) -> np.ndarray:
         """scale e^{-i n_max (x_1+..+x_d)} on the grid (read-only): u = ramp v."""
         phase = np.exp(-1j * self.x[self.n_max * np.arange(self.m_grid) % self.m_grid])
@@ -189,6 +214,34 @@ class SpectralField:
 # One 1d FFT per torus axis in the shifted frame.  The synthesis runs last axis
 # first, so its first pass transforms only the 2N+1 occupied rows; the
 # analysis runs first axis first and keeps bins 0..2N before the next pass.
+# A box with `dft` multiplies by its matrix instead.
+
+# the largest K M of a dense box, and the largest m n k of one zgemm
+_DENSE_SIZE = 2048
+_GEMM_SIZE = 1 << 16
+
+
+def _dense(x: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """x @ matrix over the last axis, into `out` when given, as stacked
+    products of at most _GEMM_SIZE // matrix.size rows and never of one."""
+    flat = x.reshape(-1, matrix.shape[0])
+    n, width = len(flat), matrix.shape[1]
+    contiguous = out is not None and out.flags.c_contiguous
+    res = out if contiguous else np.empty(x.shape[:-1] + (width,), np.complex128)
+    dst = res.reshape(n, width)
+    rows = _GEMM_SIZE // matrix.size
+    full = n - n % rows
+    if full:
+        np.matmul(flat[:full].reshape(-1, rows, len(matrix)), matrix,
+                  out=dst[:full].reshape(-1, rows, width))
+    if n - full == 1:
+        dst[full:] = np.matmul(flat[full:].repeat(2, axis=0), matrix)[:1]
+    elif n > full:
+        np.matmul(flat[full:], matrix, out=dst[full:])
+    if out is None or contiguous:
+        return res
+    out[...] = res
+    return out
 
 
 def to_grid_array(
@@ -198,9 +251,12 @@ def to_grid_array(
     """Synthesize grid values from box coefficients (orthonormal basis), into
     `out` (complex, batch + grid shape) when given: u(x_j), or with `shifted`
     the shifted frame's values."""
-    for axis in reversed(geometry.axes):
-        last = axis == geometry.axes[0]
-        coeffs = np.fft.ifft(coeffs, geometry.m_grid, axis, "forward", out if last else None)
+    if geometry.dft is not None:
+        coeffs = _dense(coeffs, geometry.dft[0], out)
+    else:
+        for axis in reversed(geometry.axes):
+            last = axis == geometry.axes[0]
+            coeffs = np.fft.ifft(coeffs, geometry.m_grid, axis, "forward", out if last else None)
     return coeffs if shifted else np.multiply(coeffs, geometry.ramp, out=coeffs)
 
 
@@ -213,6 +269,8 @@ def from_grid_array(
     the complex `values` serves as scratch (else a copy of it does)."""
     values = values.astype(np.complex128) if out is None else values
     values = values if shifted else np.divide(values, geometry.ramp, out=values)
+    if geometry.dft is not None:
+        return _dense(values, geometry.dft[1], out)
     for axis in geometry.axes:
         keep = (Ellipsis, slice(2 * geometry.n_max + 1)) + (slice(None),) * (-1 - axis)
         values = np.fft.fft(values, axis=axis, out=values)[keep]

@@ -179,6 +179,20 @@ class TestCli:
         assert obj[0] == "N,objective,stderr,indicator_freq,mean_cost"
         assert len(obj) == 3
 
+    @pytest.mark.parametrize("d,n_cut,line", [
+        (1, 8, "d = 1, n_max = 8, m_grid = 70, oversampling = 4.11765, transform = dense"),
+        (1, 16, "d = 1, n_max = 16, m_grid = 132, oversampling = 4, transform = fft"),
+        (2, 3, "d = 2, n_max = 3, m_grid = 28, oversampling = 4, transform = fft"),
+    ])
+    def test_dry_run_names_the_grid(self, tmp_path, capsys, d, n_cut, line):
+        params = {"d": d, "alpha": 2.5, "beta": 0.3, "gamma": 1.0, "n_cut": n_cut}
+        cfg = sample_config(tmp_path, params=params)
+        assert main(["sample", "--config", cfg, "--dry-run"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"gnls: grid {line}\n"
+        resolved = json.loads(captured.out)
+        assert resolved["params"] == {**params, "n_max": n_cut, "oversampling": 4.0}
+
     def test_threads_env_override(self, tmp_path, monkeypatch, capsys):
         cfg = sample_config(tmp_path)
         monkeypatch.setenv("GNLS_THREADS", "2")

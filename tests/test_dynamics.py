@@ -27,7 +27,13 @@ from gnls import (
     truncation_convergence,
 )
 from gnls import spectral
-from gnls.dynamics import _galerkin_work, galerkin_rhs_array, trajectory_to_csv
+from gnls.dynamics import (
+    _collocation_work,
+    _galerkin_work,
+    galerkin_rhs_array,
+    gauge_frequency,
+    trajectory_to_csv,
+)
 from gnls.spectral import TWO_PI
 
 from conftest import direct_synthesis, random_field, smooth_field
@@ -163,6 +169,40 @@ def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
         k4 = rhs(coeffs + h * k3)
         coeffs = coeffs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return coeffs
+
+
+def allocating_collocation(geometry, coeffs, t, params, gauge_shift):
+    """The collocation substep with a fresh array per operation, in the
+    operation order `collocation_phase_array` must keep bit for bit (for
+    grids below 256 KiB: from there numpy's temporary elision evaluates
+    `values * phase` as `phase * values`, which rounds differently)."""
+    values = to_grid_array(geometry, coeffs, shifted=True)
+    absq = geometry.scale**2 * np.abs(values) ** 2
+    freq = 2.0 * params.gamma * params.beta * np.exp(params.beta * absq)
+    if gauge_shift:
+        freq = freq - gauge_frequency(absq, params, geometry.axes)
+    return from_grid_array(geometry, values * np.exp(-1j * t * freq), shifted=True)
+
+
+class TestBufferedCollocation:
+    @pytest.mark.parametrize("d, batch", [(1, ()), (1, (3,)), (2, (2,))])
+    @pytest.mark.parametrize("gauge_shift", [False, True])
+    def test_reused_collocation_buffers_match_fresh_ones(self, d, batch, gauge_shift):
+        geo = TorusGeometry(d=d, n_max=4)
+        p = ModelParams(d=d, alpha=2.0, beta=0.5, gamma=1.0, n_cut=4, geometry=geo)
+        shape = (*batch, *geo.box_shape)
+        u, v = (0.3 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
+                for _ in range(2))
+        fresh = collocation_phase_array(geo, u, 0.2, p, gauge_shift)
+        want = allocating_collocation(geo, u, 0.2, p, gauge_shift)
+        assert fresh.tobytes() == want.tobytes()
+        work = _collocation_work(geo, shape)
+        for w in work:
+            w[...] = np.nan
+        first = collocation_phase_array(geo, v, 0.2, p, gauge_shift, work)
+        again = collocation_phase_array(geo, u, 0.2, p, gauge_shift, work)
+        assert again.tobytes() == fresh.tobytes()
+        assert first.tobytes() == collocation_phase_array(geo, v, 0.2, p, gauge_shift).tobytes()
 
 
 class TestBufferedGalerkin:

@@ -5,7 +5,7 @@ import tempfile
 import numpy as np
 import pytest
 import scipy.fft
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gnls import (
@@ -103,15 +103,23 @@ class TestTransforms:
     @settings(max_examples=60, deadline=None)
     @given(
         d=st.integers(1, 2),
-        n_max=st.integers(0, 6),
+        # d = 1 draws boxes on both sides of the dense crossover K M = 2048
+        n_max=st.integers(0, 16),
         oversampling=st.floats(1.0, 4.0),
         # 0 is the default grid, which is always 11-smooth; the explicit
         # lengths have a prime factor pocketfft has no dedicated pass for
-        m_grid=st.sampled_from([0, 0, 13, 17, 19, 23, 34, 37, 68]),
+        m_grid=st.sampled_from([0, 0, 13, 17, 19, 23, 34, 37, 68, 257]),
         batch=st.lists(st.integers(1, 3), max_size=2),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(d=1, n_max=8, oversampling=4.0, m_grid=0, batch=[3], seed=1)  # dense
+    @example(d=1, n_max=16, oversampling=4.0, m_grid=0, batch=[3], seed=1)  # FFT
+    @example(d=1, n_max=4, oversampling=1.0, m_grid=257, batch=[], seed=2)  # FFT
     def test_transform_pair_properties(self, d, n_max, oversampling, m_grid, batch, seed):
+        # d = 2 keeps n_max <= 6 and its direct sum small; an explicit grid
+        # shorter than the box becomes the least grid 2N+1
+        n_max = n_max if d == 1 else n_max % 7
+        m_grid = m_grid and max(m_grid, 2 * n_max + 1)
         geo = TorusGeometry(d=d, n_max=n_max, m_grid=m_grid, oversampling=oversampling)
         gen = np.random.default_rng(seed)
         shape = (*batch, *geo.box_shape)
@@ -127,18 +135,20 @@ class TestTransforms:
         back = from_grid_array(geo, values)
         assert values.tobytes() == kept.tobytes()
         assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
-        # into dirty buffers the pair writes the same bits, and the analysis
-        # leaves in its grid input the unscaled FFT of the shifted-frame
-        # values (the input over the ramp) on the 2N+1 rows it keeps
+        # into dirty buffers the pair writes the same bits, and the FFT
+        # analysis leaves in its grid input the unscaled FFT of the
+        # shifted-frame values (the input over the ramp) on the 2N+1 rows it
+        # keeps
         grid = np.full(values.shape, np.nan + 1j)
         assert to_grid_array(geo, a, out=grid) is grid
         assert grid.tobytes() == values.tobytes()
         box = np.full(a.shape, -np.inf + 0j)
         assert from_grid_array(geo, grid, out=box) is box
         assert box.tobytes() == back.tobytes()
-        fft = np.fft.fftn(values / geo.ramp, axes=geo.axes)
-        rows = (..., slice(2 * n_max + 1), *[slice(None)] * (d - 1))
-        assert np.max(np.abs(grid[rows] - fft[rows])) <= 1e-12 * np.max(np.abs(fft))
+        if geo.dft is None:
+            fft = np.fft.fftn(values / geo.ramp, axes=geo.axes)
+            rows = (..., slice(2 * n_max + 1), *[slice(None)] * (d - 1))
+            assert np.max(np.abs(grid[rows] - fft[rows])) <= 1e-12 * np.max(np.abs(fft))
         quad = geo.quad_weight() * np.sum(np.abs(got) ** 2, axis=-1)
         exact = np.sum(np.abs(a.reshape(*batch, -1)) ** 2, axis=-1)
         assert np.allclose(quad, exact, rtol=1e-12, atol=0)
@@ -181,6 +191,56 @@ class TestTransforms:
         geo = TorusGeometry(d=2, n_max=3)
         assert geo.ramp is geo.ramp and not geo.ramp.flags.writeable
         assert np.allclose(np.abs(geo.ramp), TWO_PI**-1, rtol=1e-15, atol=0)
+
+
+class TestDenseTransforms:
+    """d = 1 boxes with K M <= 2048 transform by dense matrix products in
+    stacked items of 2^16 // (K M) rows (55 at N = 8); every other box by
+    the FFT."""
+
+    @pytest.mark.parametrize("d,n_max,m_grid,dense", [
+        (1, 0, 0, True), (1, 8, 0, True), (1, 10, 0, True), (1, 10, 98, False),
+        (1, 11, 0, False), (1, 16, 0, False), (2, 1, 0, False),
+    ])
+    def test_crossover(self, d, n_max, m_grid, dense):
+        geo = TorusGeometry(d=d, n_max=n_max, m_grid=m_grid)
+        assert (geo.dft is not None) == dense
+        assert dense == (d == 1 and (2 * n_max + 1) * geo.m_grid <= 2048)
+
+    def test_matrices_are_cached_and_read_only(self):
+        geo = TorusGeometry(d=1, n_max=8)
+        synthesis, analysis = geo.dft
+        assert geo.dft is geo.dft and synthesis.shape == (17, 70)
+        assert not synthesis.flags.writeable and not analysis.flags.writeable
+        assert np.allclose(analysis, synthesis.conj().T / 70, rtol=0, atol=1e-17)
+        a = GEN.standard_normal((3, 17)) + 1j * GEN.standard_normal((3, 17))
+        fft = np.fft.ifft(a, 70, norm="forward")
+        assert np.max(np.abs(a @ synthesis - fft)) <= 1e-14 * np.max(np.abs(fft))
+
+    @pytest.mark.parametrize("n_max", [3, 8, 10])
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_row_bits_do_not_depend_on_the_batch(self, n_max, shifted):
+        geo = TorusGeometry(d=1, n_max=n_max)
+        rows = 2**16 // (geo.box_shape[0] * geo.m_grid)
+        gen = np.random.default_rng(n_max)
+        a = gen.standard_normal((2 * rows + 1, *geo.box_shape)) * (1 + 1j)
+        a += gen.standard_normal(a.shape)
+
+        def pair(x):
+            grid = to_grid_array(geo, x, shifted=shifted)
+            return grid, from_grid_array(geo, grid, shifted=shifted)
+
+        # each row alone, as a 0-d batch, is the reference
+        alone = [pair(row) for row in a]
+        for grid, box in alone:
+            assert grid.shape == geo.grid_shape and box.shape == geo.box_shape
+        # a 1-row batch; batches of two rows, of one item, of one item and a
+        # one-row tail, of two items and a one-row tail: every position
+        for size in (1, 2, rows, rows + 1, 2 * rows + 1):
+            grid, box = pair(a[:size])
+            for i in range(size):
+                assert grid[i].tobytes() == alone[i][0].tobytes(), (size, i)
+                assert box[i].tobytes() == alone[i][1].tobytes(), (size, i)
 
 
 class TestProjectors:
