@@ -27,6 +27,7 @@ from .dynamics import MODES, FlowConfig, evolve_ensemble
 from .measures import (
     ModelParams,
     RngStream,
+    _projected,
     gibbs_weight_array,
     kinetic_sum_array,
     mass_array,
@@ -277,8 +278,9 @@ def observable_matrix(
     """Batched observable vector; coeffs shape (m, *box).  A caller that has
     V_beta(Pi_N u) of each row already passes it as `potential`."""
     if potential is None:
-        mask = geometry.euclid_mask(params.n_cut)
-        potential = potential_array(geometry, coeffs * mask, params.beta)
+        potential = potential_array(
+            geometry, _projected(geometry, coeffs, params.n_cut), params.beta
+        )
     # the half-normalized energy observable; not conserved pathwise, so it
     # carries real invariance information (unlike the flow energy)
     kin = 0.5 * kinetic_sum_array(geometry, coeffs, params.alpha, symbol)
@@ -364,15 +366,17 @@ def invariance_test(
     n_threads = thread_count(threads)
     chunks = [slice(i, min(i + _CHUNK, m)) for i in range(0, m, _CHUNK)]
 
-    def work(sl):
-        return evolve_ensemble(geometry, coeffs0[sl], run_cfg, mode="galerkin")
+    coeffs_t = np.empty_like(coeffs0)
+
+    def work(sl):  # the chunks do not overlap
+        coeffs_t[sl] = evolve_ensemble(geometry, coeffs0[sl], run_cfg, mode="galerkin")
 
     if n_threads > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(work, chunks))
+            list(pool.map(work, chunks))
     else:
-        parts = [work(sl) for sl in chunks]
-    coeffs_t = np.concatenate(parts, axis=0)
+        for sl in chunks:
+            work(sl)
     obs_t = observable_matrix(
         geometry, coeffs_t, params, cfg.dispersion_symbol, s_norms, mode_powers
     )

@@ -146,14 +146,18 @@ def potential_array(
     batch = coeffs.shape[: coeffs.ndim - geometry.d]
     flat = coeffs.reshape(-1, *geometry.box_shape)
     rows = _block_rows(16 * math.prod(geometry.grid_shape))
-    grid = np.empty((min(rows, len(flat)), *geometry.grid_shape), np.complex128)
+    shape = (min(rows, len(flat)), *geometry.grid_shape)
+    grid, dens = np.empty(shape, np.complex128), np.empty(shape)
+    factor = beta * geometry.scale**2
     v = np.empty(len(flat))
     for lo in range(0, len(flat), rows):
         block = flat[lo : lo + rows]
         values = to_grid_array(geometry, block, out=grid[: len(block)], shifted=True)
-        v[lo : lo + len(block)] = geometry.quad_weight() * np.sum(
-            np.exp(beta * geometry.scale**2 * np.abs(values) ** 2), axis=geometry.axes
-        )
+        # exp(beta scale^2 |u|^2) in one buffer, in the operation order of
+        # that expression, so its bits do not depend on the buffering
+        e = np.abs(values, out=dens[: len(block)])
+        np.exp(np.multiply(np.square(e, out=e), factor, out=e), out=e)
+        v[lo : lo + len(block)] = geometry.quad_weight() * np.sum(e, axis=geometry.axes)
     v = v.reshape(batch)[()]
     if clip is not None:
         v = np.minimum(v, clip)
@@ -170,12 +174,19 @@ def kinetic_sum_array(
     return np.sum(w * np.abs(coeffs) ** 2, axis=geometry.axes)
 
 
+def _projected(geometry: TorusGeometry, coeffs: np.ndarray, n_cut: int) -> np.ndarray:
+    """Pi_N u: the coefficients on |n| <= n_cut, zero elsewhere.  Where that
+    is the whole box (d = 1 at n_cut = n_max) it is `coeffs` itself, not a
+    copy."""
+    mask = geometry.euclid_mask(n_cut)
+    return coeffs if mask.all() else coeffs * mask
+
+
 def gibbs_weight_array(params: ModelParams, coeffs: np.ndarray, beta: float | None = None) -> np.ndarray:
     """Density factor exp(-gamma V_beta(Pi_N u)) against the Gaussian measure."""
     geo = params.geometry
-    mask = geo.euclid_mask(params.n_cut)
     b = params.beta if beta is None else beta
-    v = potential_array(geo, coeffs * mask, b)
+    v = potential_array(geo, _projected(geo, coeffs, params.n_cut), b)
     return np.exp(-params.gamma * v)
 
 
@@ -213,11 +224,10 @@ def gibbs_ensemble(
 ) -> GibbsEnsemble:
     gen = rng.generator()
     geo = params.geometry
-    mask = geo.euclid_mask(params.n_cut)
     vol = geo.volume
     if mode == "importance":
         coeffs = sample_gaussian_coeffs(params, gen, m)
-        v = potential_array(geo, coeffs * mask, params.beta)
+        v = potential_array(geo, _projected(geo, coeffs, params.n_cut), params.beta)
         w = np.exp(-params.gamma * v)
         z, z_se, _ = weighted_mean_stderr(w, None)
         return GibbsEnsemble(params, mode, coeffs, w, v, z, z_se, m)
@@ -233,7 +243,7 @@ def gibbs_ensemble(
         batch = max(m, 256)
         while sum(a.shape[0] for a in accepted) < m and n_prop < 10**7:
             coeffs = sample_gaussian_coeffs(params, gen, batch)
-            v = potential_array(geo, coeffs * mask, params.beta)
+            v = potential_array(geo, _projected(geo, coeffs, params.n_cut), params.beta)
             p_acc = np.exp(-params.gamma * (v - vol))
             u = gen.uniform(size=batch)
             keep = u < p_acc

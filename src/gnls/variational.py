@@ -21,6 +21,7 @@ import numpy as np
 from .measures import (
     ModelParams,
     RngStream,
+    _projected,
     kinetic_sum_array,
     potential_array,
     sample_gaussian_coeffs,
@@ -247,6 +248,14 @@ def drift_cost(path: DriftPath, config: VariationalConfig) -> float:
     return cost_z + cost_f
 
 
+def _exact_gap(params: ModelParams, active: np.ndarray) -> np.ndarray:
+    """c_n^2 (1 - e^{-2 a_n}) / (2 a_n) on the active modes: the time-1
+    variance of X = cB - Z, an OU process driven by c dB, by Ito isometry."""
+    c2 = params.geometry.bracket(-params.alpha)[active]
+    a = ou_rates(params)[active]
+    return c2 * -np.expm1(-2.0 * a) / (2.0 * a)
+
+
 def ou_gap_oracle(params: ModelParams) -> float:
     """Ito-isometry closed form for E|Y(1,x) - Z_N(1,x)|^2 (x-independent):
     (2pi)^(-1) [ sum_{|n|<=N} <n>^(-alpha) (1-e^{-2 a_n}) / (2 a_n)
@@ -254,12 +263,9 @@ def ou_gap_oracle(params: ModelParams) -> float:
     geo = params.geometry
     if geo.d != 1:
         raise ValueError("d=1 only")
-    modes = geo.modes
-    var = geo.bracket(-params.alpha)
-    active = np.abs(modes) <= params.n_cut
-    a = geo.bracket(-params.alpha / 2.0) * params.n_cut ** (params.alpha / 2.0)
-    inner = np.sum(var[active] * (1.0 - np.exp(-2.0 * a[active])) / (2.0 * a[active]))
-    outer = np.sum(var[~active])
+    active = np.abs(geo.modes) <= params.n_cut
+    inner = np.sum(_exact_gap(params, active))
+    outer = np.sum(geo.bracket(-params.alpha)[~active])
     return float(inner + outer) / TWO_PI
 
 
@@ -268,9 +274,13 @@ def _euler_moments(params: ModelParams, dt: float):
     per active mode |n| <= N: (sbb, sbz, szz) = (E|B_n(1)|^2, E B_n(1)
     conj(Z_n(1)), E|Z_n(1)|^2), all real, and the exact expected path cost
     E sum_k dt sum_n <n>^alpha |dZ_{n,k}/dt|^2 with dZ_k = a (c B_k - Z_k) dt,
-    from the moments at the start of each step.  Raises ValueError for a step
-    the chain cannot take: |1 - dt a_n| >= 1 on some mode, or a joint law
-    whose conditional variance szz - sbz^2/sbb is negative."""
+    from the moments at the start of each step.  One step of the chain maps
+    x = (szz, sbz, sbb, gap_sum, 1) linearly, gap_sum accumulating the gap
+    variance c^2 sbb - 2c sbz + szz at the start of each step, so x(1) is the
+    last column of the K-th power of that 5 x 5 map, per mode: about
+    2 log2 K products instead of K steps.  Raises ValueError for a step the
+    chain cannot take: |1 - dt a_n| >= 1 on some mode, or a joint law whose
+    conditional variance szz - sbz^2/sbb is negative."""
     geo = params.geometry
     active = np.abs(geo.modes) <= params.n_cut
     c = geo.bracket(-params.alpha / 2.0)[active]
@@ -284,14 +294,13 @@ def _euler_moments(params: ModelParams, dt: float):
         )
     h = 1.0 / steps
     k_decay, k_drive = 1.0 - h * a, h * a * c
-    sbb = sbz = szz = gap_sum = np.zeros_like(a)
-    for _ in range(steps):
-        gap_sum = gap_sum + (c**2 * sbb - 2.0 * c * sbz + szz)
-        szz, sbz, sbb = (
-            k_decay**2 * szz + 2.0 * k_decay * k_drive * sbz + k_drive**2 * sbb,
-            k_decay * sbz + k_drive * sbb,
-            sbb + h,
-        )
+    step = np.zeros((a.size, 5, 5))
+    step[:, 0, :3] = np.stack([k_decay**2, 2.0 * k_decay * k_drive, k_drive**2], axis=1)
+    step[:, 1, 1:3] = np.stack([k_decay, k_drive], axis=1)
+    step[:, 2, 2] = step[:, 3, 3] = step[:, 3, 0] = step[:, 4, 4] = 1.0
+    step[:, 2, 4] = h
+    step[:, 3, 1:3] = np.stack([-2.0 * c, c**2], axis=1)
+    szz, sbz, sbb, gap_sum, _ = np.linalg.matrix_power(step, steps)[:, :, 4].T
     if np.any(szz - sbz**2 / sbb < 0.0):
         raise ValueError(
             f"dt_sde {dt:g}: the Euler OU endpoint law has a negative "
@@ -304,27 +313,21 @@ def _euler_moments(params: ModelParams, dt: float):
 
 def ou_gap_variance(params: ModelParams, dt: float, scheme: str) -> np.ndarray:
     """Variance v_n of the gap <n>^(-alpha/2) B_n(1) - Z_{N,n}(1) ~ CN(0, v_n)
-    over the box, from the second moments of the K = round(1/dt) step chain:
-    'euler' iterates (B, Z) of `_ou_stepper` (`_euler_moments`), 'exact' the
-    exact update of X = cB - Z, an OU process driven by c dB.  Spectators
-    keep <n>^(-alpha)."""
+    over the box.  'euler': from the second moments of the K = round(1/dt)
+    step chain of `_ou_stepper` (`_euler_moments`).  'exact': the exact
+    steps of X = cB - Z, an OU process driven by c dB, compose to its exact
+    time-1 law, c^2 (1 - e^{-2a}) / (2a) whatever the step, so dt is
+    ignored.  Spectators keep <n>^(-alpha)."""
     if scheme not in ("euler", "exact"):
         raise ValueError(f"unknown scheme {scheme!r}")
     geo = params.geometry
     active = np.abs(geo.modes) <= params.n_cut
-    c = geo.bracket(-params.alpha / 2.0)[active]
     if scheme == "euler":
+        c = geo.bracket(-params.alpha / 2.0)[active]
         sbb, sbz, szz, _ = _euler_moments(params, dt)
         gap = c**2 * sbb - 2.0 * c * sbz + szz
     else:
-        a = ou_rates(params)[active]
-        steps = int(round(1.0 / dt))
-        dt = 1.0 / steps
-        decay = np.exp(-a * dt)
-        var_i = (1.0 - np.exp(-2.0 * a * dt)) / (2.0 * a)
-        gap = np.zeros_like(a)
-        for _ in range(steps):
-            gap = decay**2 * gap + c**2 * var_i
+        gap = _exact_gap(params, active)
     v = geo.bracket(-params.alpha)
     v[active] = gap
     return v
@@ -340,7 +343,9 @@ def simulate_ou_gap(
     """Per-sample spatial mean of |Y(1,x) - Z_N(1,x)|^2, i.e. the Parseval
     sum (2pi)^(-1) sum_n |<n>^(-alpha/2) B_n(1) - Z_{N,n}(1)|^2 over the
     retained box, drawn from the endpoint law of the chosen scheme (see
-    `ou_gap_variance`); for 'exact' its expectation is `ou_gap_oracle`."""
+    `ou_gap_variance`): the Euler chain's, from its matrix-power moments, or
+    for 'exact' the closed-form time-1 law, which ignores dt and whose
+    expectation is `ou_gap_oracle`."""
     v = ou_gap_variance(params, dt if dt is not None else stability_dt(params), scheme)
     gen = rng.generator()
     n = v.size
@@ -370,9 +375,9 @@ def _draw_endpoints(params: ModelParams, dt: float, gen: np.random.Generator, m:
     """(B(1), Z_N(1)) of the Euler chain of `_ou_stepper`, drawn in one shot
     from its endpoint law: per active mode b = sqrt(sbb) g1 and
     z = (sbz / sqrt(sbb)) g1 + sqrt(szz - sbz^2 / sbb) g2 for independent
-    CN(0, 1) g1, g2 and the moments of `_euler_moments`; the spectators' B(1)
-    is CN(0, 1).  Returns (b over the box, z on `_active_slice`, the expected
-    path cost)."""
+    CN(0, 1) g1, g2 and the moments of `_euler_moments` (a matrix power, not
+    K steps); the spectators' B(1) is CN(0, 1).  Returns (b over the box,
+    z on `_active_slice`, the expected path cost)."""
     sbb, sbz, szz, cost = _euler_moments(params, dt)
     act = _active_slice(params)
     b = _complex_normal(gen, (m, params.geometry.modes.size))
@@ -406,7 +411,9 @@ def objective_estimate(config: VariationalConfig, rng: RngStream) -> ObjectiveRe
     with step `dt_sde` enter the potential term, so they are drawn in one
     shot from the chain's endpoint law (`_draw_endpoints`), and the drift
     cost is its exact expectation: half the chain's expected path cost plus
-    the bump's constant (`drift_cost` is the per-path cost)."""
+    the bump's constant (`drift_cost` is the per-path cost).  Both come from
+    the matrix-power moments of `_euler_moments`, whose cost grows with
+    log2(1/dt_sde), not with 1/dt_sde."""
     params = config.params
     geo = params.geometry
     dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)
@@ -475,7 +482,7 @@ def divergence_scan(
     geo = params.geometry
     gen = rng.generator()
     coeffs = sample_gaussian_coeffs(params, gen, m)
-    v = potential_array(geo, coeffs * geo.euclid_mask(params.n_cut), params.beta)
+    v = potential_array(geo, _projected(geo, coeffs, params.n_cut), params.beta)
     if k_mass is None:
         ind = np.ones(m, dtype=bool)
     else:

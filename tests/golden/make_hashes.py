@@ -17,7 +17,7 @@ import tempfile
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.dirname(HERE))
 
-from test_golden import CONFIGS, HASHES, run_subcommand  # noqa: E402
+from test_golden import CONFIGS, HASHES, moved_artifacts, run_subcommand  # noqa: E402
 
 
 def main(names) -> int:
@@ -42,15 +42,12 @@ def main(names) -> int:
             return 1
         hashes[name] = results[0]
         before = old.get(name, {"artifacts": {}, "exit_code": None})
-        if before["exit_code"] != results[0]["exit_code"]:
-            print(f"{name}: exit code {before['exit_code']} → {results[0]['exit_code']}")
-        for artifact in sorted(set(before["artifacts"]) | set(results[0]["artifacts"])):
-            was = before["artifacts"].get(artifact, "-")
-            now = results[0]["artifacts"].get(artifact, "-")
-            if was == now:
-                unmoved += 1
-            else:
-                print(f"{name}/{artifact}: {was[:12]} → {now[:12]}")
+        for line in moved_artifacts(name, before, results[0]):
+            print(line)
+        unmoved += sum(
+            before["artifacts"].get(artifact) == digest
+            for artifact, digest in results[0]["artifacts"].items()
+        )
     print(f"{unmoved} artifacts unmoved")
     with open(HASHES, "w") as fh:
         json.dump(hashes, fh, indent=2, sort_keys=True)

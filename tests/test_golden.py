@@ -7,8 +7,10 @@ invariance) guard the two-dimensional transforms and mode indexing.
 
 The SHA-256 of each artifact and the exit code live in
 `tests/golden/hashes.json`; `python tests/golden/make_hashes.py [case ...]`
-rewrites the named entries of that file (all of them when none is named).  A change that moves an artifact on purpose regenerates it and
-names the moved artifacts and the reason in CHANGES.md.
+rewrites the named entries of that file (all of them when none is named).
+A failing case names each moved artifact in the format that script prints.
+A change that moves an artifact on purpose regenerates it and names the
+moved artifacts and the reason in CHANGES.md.
 """
 
 import contextlib
@@ -134,10 +136,28 @@ def run_subcommand(name: str, workdir: str) -> dict:
     return {"exit_code": code, "artifacts": dict(sorted(artifacts.items()))}
 
 
+def moved_artifacts(name: str, before: dict, after: dict) -> list:
+    """One line per difference between two `run_subcommand` results of case
+    `name`: a moved exit code, then `case/artifact: old[:12] → new[:12]` for
+    each artifact whose hash moved ("-" for an artifact that is new or gone).
+    Empty exactly when the results are equal."""
+    lines = []
+    if before["exit_code"] != after["exit_code"]:
+        lines.append(f"{name}: exit code {before['exit_code']} → {after['exit_code']}")
+    for artifact in sorted(set(before["artifacts"]) | set(after["artifacts"])):
+        was = before["artifacts"].get(artifact, "-")
+        now = after["artifacts"].get(artifact, "-")
+        if was != now:
+            lines.append(f"{name}/{artifact}: {was[:12]} → {now[:12]}")
+    return lines
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifacts_match_golden_hashes(name, threads, tmp_path, monkeypatch):
     with open(HASHES) as fh:
         expected = json.load(fh)[name]
     monkeypatch.setenv("GNLS_THREADS", threads)
-    assert run_subcommand(name, str(tmp_path)) == expected
+    moved = moved_artifacts(name, expected, run_subcommand(name, str(tmp_path)))
+    if moved:
+        pytest.fail("\n".join(moved), pytrace=False)

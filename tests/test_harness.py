@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from gnls import (
     run,
     sigma,
 )
-from gnls import experiments
+from gnls import experiments, harness
 from gnls.dynamics import FlowConfig
 from gnls.harness import ConfigError, _paired_stats, thread_count
 from gnls.measures import sample_gaussian_coeffs, weighted_mean_stderr
@@ -165,6 +166,23 @@ class TestInvariance:
         b = invariance_test(p, cfg, 0.2, 1500, RngStream(5), threads=2)
         for name in a.observables:
             assert a.observables[name]["z"] == b.observables[name]["z"]
+
+    def test_workers_fill_disjoint_chunks(self, monkeypatch):
+        # 16 chunks on 4 workers, more than the cores, each writing its own
+        # rows of one shared endpoint array while the interpreter switches
+        # threads often: every statistic must equal the serial run's
+        p, cfg = small_invariance_setup()
+        monkeypatch.setattr(harness, "_CHUNK", 64)
+        monkeypatch.delenv("GNLS_THREADS", raising=False)  # it would override threads
+        serial = invariance_test(p, cfg, 0.1, 1000, RngStream(6), threads=1)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            pooled = invariance_test(p, cfg, 0.1, 1000, RngStream(6), threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled.observables == serial.observables
+        assert pooled.control_z == serial.control_z
 
 
 class TestConfig:

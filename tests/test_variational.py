@@ -39,6 +39,29 @@ def make_params(n_cut, alpha=2.0, beta=0.5, gamma=-1.0, n_max=None):
     return ModelParams(d=1, alpha=alpha, beta=beta, gamma=gamma, n_cut=n_cut, geometry=geo)
 
 
+def stepwise_moments(p, dt):
+    """The Euler chain's moment recursion `_euler_moments` powers, one step
+    at a time in np.longdouble from the chain's float64 coefficients:
+    (sbb, sbz, szz, expected path cost)."""
+    geo = p.geometry
+    active = np.abs(geo.modes) <= p.n_cut
+    c = geo.bracket(-p.alpha / 2.0)[active]
+    a = ou_rates(p)[active]
+    steps = int(round(1.0 / dt))
+    h = 1.0 / steps
+    k_decay, k_drive, c = (np.asarray(x, np.longdouble) for x in (1.0 - h * a, h * a * c, c))
+    sbb = sbz = szz = gap_sum = np.zeros_like(c)
+    for _ in range(steps):
+        gap_sum = gap_sum + (c**2 * sbb - 2.0 * c * sbz + szz)
+        szz, sbz, sbb = (
+            k_decay**2 * szz + 2.0 * k_decay * k_drive * sbz + k_drive**2 * sbb,
+            k_decay * sbz + k_drive * sbb,
+            sbb + np.longdouble(h),
+        )
+    w = geo.bracket(p.alpha)[active]
+    return sbb, sbz, szz, h * np.sum(w * a**2 * gap_sum)
+
+
 def assert_endpoint_moments(b, z, moments):
     """Per mode, the sample means of |b|^2, Re b conj(z) and |z|^2 lie within
     4 SE of (sbb, sbz, szz), and that of Im b conj(z) within 4 SE of 0."""
@@ -151,7 +174,7 @@ class TestGapLaw:
     """The endpoint law that `simulate_ou_gap` draws from, per scheme."""
 
     def test_exact_recursion_is_the_oracle(self):
-        # the per-step exact update iterated K times sums to the Ito isometry
+        # the exact time-1 law of the gap sums to the Ito isometry
         for alpha in (2.0, 2.5):
             for n_cut in (4, 16, 64):
                 geo = TorusGeometry(d=1, n_max=2 * n_cut, oversampling=1.0)
@@ -160,6 +183,27 @@ class TestGapLaw:
                 )
                 v = ou_gap_variance(p, stability_dt(p), "exact")
                 assert v.sum() / TWO_PI == pytest.approx(ou_gap_oracle(p), rel=1e-12)
+
+    @pytest.mark.parametrize("n_cut", [4, 8, 16])
+    def test_euler_power_matches_stepwise_recursion(self, n_cut):
+        p = make_params(n_cut)
+        for dt in (stability_dt(p), 1e-4):
+            got = _euler_moments(p, dt)
+            for g, want in zip(got, stepwise_moments(p, dt)):
+                rel = np.abs((np.asarray(g, np.longdouble) - want) / want)
+                assert np.max(rel) <= 1e-12, (n_cut, dt)
+
+    def test_exact_law_ignores_dt(self):
+        # K exact steps compose to the time-1 law, whatever K is
+        p = make_params(16, alpha=2.5)
+        v = ou_gap_variance(p, 1e-3, "exact")
+        for dt in (1e-2, 0.5):
+            assert np.array_equal(ou_gap_variance(p, dt, "exact"), v)
+        active = np.abs(p.geometry.modes) <= p.n_cut
+        a = ou_rates(p)[active]
+        terms = p.geometry.bracket(-p.alpha)[active] * (1.0 - np.exp(-2.0 * a)) / (2.0 * a)
+        assert np.allclose(v[active], terms, rtol=1e-15, atol=0.0)
+        assert v.sum() / TWO_PI == pytest.approx(ou_gap_oracle(p), rel=1e-15)
 
     def test_euler_recursion_matches_path_simulator(self):
         # ties the recursion to the Euler path simulator behind
