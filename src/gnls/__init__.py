@@ -48,14 +48,11 @@ from .gauge import (
     multilinear_r,
 )
 from .variational import (
-    DriftPath,
     VariationalConfig,
     bump_norm_scan,
     divergence_scan,
-    drift_cost,
     objective_estimate,
     ou_gap_oracle,
-    simulate_drift,
     simulate_ou_gap,
     stability_dt,
 )

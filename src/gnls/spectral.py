@@ -23,12 +23,19 @@ The shifted-frame transform has two paths, chosen by the geometry.  A d = 1
 box with K M <= 2048 (K = 2N+1 modes, M = m_grid points; N <= 10 at the
 default oversampling) multiplies by the cached dense matrices
 `TorusGeometry.dft`; every other box runs pocketfft.  At these sizes a zgemm
-costs less than numpy's FFT wrapper.  Two facts of OpenBLAS shape the dense
-path: it runs a zgemm with m n k <= 2^16 on the calling thread, so rows go in
-stacked items of at most 2^16 // (K M) rows and never start BLAS threads
-beside the ensemble's own; and it rounds a one-row product (a zgemv)
-differently, so a lone row is computed as two.  A row's bits then depend on
-neither its batch nor its position in it.
+costs less than numpy's FFT wrapper.  `_dense` runs those products, and the
+float64 ones of the dense Galerkin stage (`dynamics`), in stacked items of at
+most 2^18 real multiply-adds, a complex one counting as four: 2^16 // (K M)
+rows for the public pair (55 at N = 8), 2^18 // (2K M) for the Galerkin
+stage's real halves (110).  Two facts of OpenBLAS shape the public pair: it
+runs a zgemm with m n k <= 2^16 on the calling thread, so an item never
+starts BLAS threads beside the ensemble's own, and it rounds a one-row
+product (a zgemv) differently, so a lone row is computed as two.  A row's
+bits there then depend on neither its batch nor its position in it.  A
+float64 item stays on the calling thread too, and a dgemv also rounds
+differently, so the lone-row rule holds for both dtypes; but float64
+products shaped like the Galerkin analysis, (n, M) @ (M, 2K), round a row
+according to its position in its item.
 """
 
 from __future__ import annotations
@@ -216,20 +223,22 @@ class SpectralField:
 # analysis runs first axis first and keeps bins 0..2N before the next pass.
 # A box with `dft` multiplies by its matrix instead.
 
-# the largest K M of a dense box, and the largest m n k of one zgemm
+# the largest K M of a dense box, and the most real multiply-adds of one
+# stacked product item
 _DENSE_SIZE = 2048
-_GEMM_SIZE = 1 << 16
+_GEMM_SIZE = 1 << 18
 
 
 def _dense(x: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """x @ matrix over the last axis, into `out` when given, as stacked
-    products of at most _GEMM_SIZE // matrix.size rows and never of one."""
+    """x @ matrix over the last axis, complex or float64, into `out` when
+    given, as stacked products of at most _GEMM_SIZE real multiply-adds each
+    (a complex one counts as four) and never of one row."""
     flat = x.reshape(-1, matrix.shape[0])
     n, width = len(flat), matrix.shape[1]
     contiguous = out is not None and out.flags.c_contiguous
-    res = out if contiguous else np.empty(x.shape[:-1] + (width,), np.complex128)
+    res = out if contiguous else np.empty(x.shape[:-1] + (width,), matrix.dtype)
     dst = res.reshape(n, width)
-    rows = _GEMM_SIZE // matrix.size
+    rows = _GEMM_SIZE // (matrix.size * (4 if matrix.dtype.kind == "c" else 1))
     full = n - n % rows
     if full:
         np.matmul(flat[:full].reshape(-1, rows, len(matrix)), matrix,

@@ -144,110 +144,6 @@ def stability_dt(params: ModelParams, safety: float = 10.0, cap: float = 1e-3) -
     return min(cap, 1.0 / (safety * a_max))
 
 
-@dataclass
-class DriftPath:
-    """One realization of the coupled per-mode paths (B_n, Z_{N,n}) on [0,1]."""
-
-    params: ModelParams
-    times: np.ndarray
-    b_path: np.ndarray  # (steps+1, n_active) complex
-    z_path: np.ndarray
-    active_modes: np.ndarray
-
-
-def _ou_stepper(
-    params: ModelParams,
-    gen: np.random.Generator,
-    m: int,
-    dt: float,
-    keep_paths: bool = False,
-    chunk: int = 2000,
-):
-    """Euler-Maruyama co-simulation of (B_n, Z_{N,n}), dZ = a (c B - Z) dt, on
-    the active modes |n| <= N; the Brownian endpoints of the spectator modes
-    above the cutoff are drawn in one shot (their law at t = 1 is the same and
-    nothing couples to them in time).  Returns (b_final, z_final, steps, dt,
-    active, paths_b, paths_z) with full-box final arrays.
-    """
-    geo = params.geometry
-    modes = geo.modes
-    n_modes = modes.size
-    active = np.abs(modes) <= params.n_cut
-    n_act = int(active.sum())
-    c_act = geo.bracket(-params.alpha / 2.0)[active]
-    a_act = c_act * params.n_cut ** (params.alpha / 2.0)
-    steps = int(round(1.0 / dt))
-    dt = 1.0 / steps
-    noise_scale = math.sqrt(dt / 2.0)
-    k_decay = 1.0 - dt * a_act
-    k_drive = dt * a_act * c_act
-
-    b_final = np.zeros((m, n_modes), dtype=np.complex128)
-    z_final = np.zeros((m, n_modes), dtype=np.complex128)
-    paths_b = paths_z = None
-
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        mm = hi - lo
-        b = np.zeros((mm, n_act), dtype=np.complex128)
-        z = np.zeros((mm, n_act), dtype=np.complex128)
-        if keep_paths and lo == 0:
-            paths_b = [b[0].copy()]
-            paths_z = [z[0].copy()]
-        for _ in range(steps):
-            noise = noise_scale * (
-                gen.standard_normal((mm, n_act))
-                + 1j * gen.standard_normal((mm, n_act))
-            )
-            z = k_decay * z + k_drive * b
-            b += noise
-            if keep_paths and lo == 0:
-                paths_b.append(b[0].copy())
-                paths_z.append(z[0].copy())
-        b_final[lo:hi, active] = b
-        z_final[lo:hi, active] = z
-    # spectator modes: only B(1) ~ CN(0, 1) is ever used downstream
-    n_tail = n_modes - n_act
-    if n_tail:
-        b_final[:, ~active] = (
-            gen.standard_normal((m, n_tail)) + 1j * gen.standard_normal((m, n_tail))
-        ) / math.sqrt(2.0)
-    return b_final, z_final, steps, dt, active, paths_b, paths_z
-
-
-def simulate_drift(config: VariationalConfig, rng: RngStream) -> DriftPath:
-    """One realization of the coupled Brownian / OU mode paths on [0, 1]."""
-    params = config.params
-    dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)
-    gen = rng.generator()
-    _, _, steps, dt, active, pb, pz = _ou_stepper(
-        params, gen, 1, dt, keep_paths=True
-    )
-    times = np.linspace(0.0, 1.0, steps + 1)
-    return DriftPath(
-        params, times, np.stack(pb), np.stack(pz), params.geometry.modes[active]
-    )
-
-
-def drift_cost(path: DriftPath, config: VariationalConfig) -> float:
-    """(1/2) int_0^1 ||<grad>^{alpha/2} (-dZ/dt + eta f_N)||_{L^2}^2 dt.
-
-    The bump lives on the annulus (N, 2N], disjoint from the drift modes, so
-    the cross term vanishes and the bump contributes its constant
-    (eta^2 / 2) ||f_N||_{H^{alpha/2}}^2.
-    """
-    params = config.params
-    geo = params.geometry
-    active = np.abs(geo.modes) <= params.n_cut
-    w_active = geo.bracket(params.alpha)[active]
-    dt = float(path.times[1] - path.times[0])
-    dz = np.diff(path.z_path, axis=0) / dt
-    cost_z = 0.5 * dt * float(np.sum(w_active * np.abs(dz) ** 2))
-    f = bump_coeffs(geo, params.n_cut, config.x0)
-    cost_f = 0.5 * config.eta**2 * float(kinetic_sum_array(geo, f, params.alpha))
-    return cost_z + cost_f
-
-
 def _exact_gap(params: ModelParams, active: np.ndarray) -> np.ndarray:
     """c_n^2 (1 - e^{-2 a_n}) / (2 a_n) on the active modes: the time-1
     variance of X = cB - Z, an OU process driven by c dB, by Ito isometry."""
@@ -270,8 +166,13 @@ def ou_gap_oracle(params: ModelParams) -> float:
 
 
 def _euler_moments(params: ModelParams, dt: float):
-    """Second moments of the K = round(1/dt) step Euler chain of `_ou_stepper`
-    per active mode |n| <= N: (sbb, sbz, szz) = (E|B_n(1)|^2, E B_n(1)
+    """Second moments of the K = round(1/dt) step Euler-Maruyama chain of
+    (B_n, Z_{N,n}) from B = Z = 0, with h = 1/K,
+
+        Z_{k+1} = (1 - h a) Z_k + h a c B_k,   B_{k+1} = B_k + sqrt(h/2) (g + i g'),
+
+    c = <n>^(-alpha/2), a the `ou_rates` and g, g' standard normal, per
+    active mode |n| <= N: (sbb, sbz, szz) = (E|B_n(1)|^2, E B_n(1)
     conj(Z_n(1)), E|Z_n(1)|^2), all real, and the exact expected path cost
     E sum_k dt sum_n <n>^alpha |dZ_{n,k}/dt|^2 with dZ_k = a (c B_k - Z_k) dt,
     from the moments at the start of each step.  One step of the chain maps
@@ -314,7 +215,7 @@ def _euler_moments(params: ModelParams, dt: float):
 def ou_gap_variance(params: ModelParams, dt: float, scheme: str) -> np.ndarray:
     """Variance v_n of the gap <n>^(-alpha/2) B_n(1) - Z_{N,n}(1) ~ CN(0, v_n)
     over the box.  'euler': from the second moments of the K = round(1/dt)
-    step chain of `_ou_stepper` (`_euler_moments`).  'exact': the exact
+    step Euler chain (`_euler_moments`).  'exact': the exact
     steps of X = cB - Z, an OU process driven by c dB, compose to its exact
     time-1 law, c^2 (1 - e^{-2a}) / (2a) whatever the step, so dt is
     ignored.  Spectators keep <n>^(-alpha)."""
@@ -372,7 +273,7 @@ def _active_slice(params: ModelParams) -> slice:
 
 
 def _draw_endpoints(params: ModelParams, dt: float, gen: np.random.Generator, m: int):
-    """(B(1), Z_N(1)) of the Euler chain of `_ou_stepper`, drawn in one shot
+    """(B(1), Z_N(1)) of the Euler chain of `_euler_moments`, drawn in one shot
     from its endpoint law: per active mode b = sqrt(sbb) g1 and
     z = (sbz / sqrt(sbb)) g1 + sqrt(szz - sbz^2 / sbb) g2 for independent
     CN(0, 1) g1, g2 and the moments of `_euler_moments` (a matrix power, not
@@ -411,9 +312,10 @@ def objective_estimate(config: VariationalConfig, rng: RngStream) -> ObjectiveRe
     with step `dt_sde` enter the potential term, so they are drawn in one
     shot from the chain's endpoint law (`_draw_endpoints`), and the drift
     cost is its exact expectation: half the chain's expected path cost plus
-    the bump's constant (`drift_cost` is the per-path cost).  Both come from
-    the matrix-power moments of `_euler_moments`, whose cost grows with
-    log2(1/dt_sde), not with 1/dt_sde."""
+    the bump's constant (eta^2 / 2) ||f_N||_{H^{alpha/2}}^2, with no cross
+    term because the bump's annulus (N, 2N] misses the drift modes.  Both
+    come from the matrix-power moments of `_euler_moments`, whose cost grows
+    with log2(1/dt_sde), not with 1/dt_sde."""
     params = config.params
     geo = params.geometry
     dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)

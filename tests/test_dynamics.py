@@ -30,6 +30,7 @@ from gnls import spectral
 from gnls.dynamics import (
     _collocation_work,
     _galerkin_work,
+    _real_dft,
     galerkin_rhs_array,
     gauge_frequency,
     trajectory_to_csv,
@@ -153,13 +154,22 @@ class TestGalerkinSubstep:
 
 def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
     """The Galerkin substep written with a fresh array per operation, in the
-    operation order `galerkin_substep_array` must keep bit for bit."""
+    operation order `galerkin_substep_array` must keep bit for bit: on a
+    dense box the float64 planes of `_real_dft`, on any other the complex
+    grid."""
 
     def rhs(a):
-        values = to_grid_array(geometry, a * mask, shifted=True)
-        values = np.exp(params.beta * geometry.scale**2 * np.abs(values) ** 2) * values
-        conv = from_grid_array(geometry, values, shifted=True)
-        return -2j * params.gamma * params.beta * (conv * mask)
+        if geometry.dft is None:
+            values = to_grid_array(geometry, a * mask, shifted=True)
+            values = np.exp(params.beta * geometry.scale**2 * np.abs(values) ** 2) * values
+            conv = from_grid_array(geometry, values, shifted=True)
+            return -2j * params.gamma * params.beta * (conv * mask)
+        synthesis, analysis = _real_dft(geometry, params.beta, params.gamma)
+        x = (a * mask).view(np.float64)
+        re, im = (spectral._dense(x, matrix, None) for matrix in synthesis)
+        f = np.exp(re**2 + im**2)
+        conv = spectral._dense(re * f, analysis[0], None) + spectral._dense(im * f, analysis[1], None)
+        return conv.view(np.complex128) * mask
 
     h = t / substeps
     for _ in range(substeps):
@@ -241,10 +251,16 @@ class TestBufferedGalerkin:
 
 class TestShiftedFrameKernels:
     # no mask in d = 1 at n_cut = n_max; a sharp cut below n_max, or in d = 2
-    # the Euclidean corners of the box, otherwise
+    # the Euclidean corners of the box, otherwise.  The dense d = 1 boxes run
+    # in real arithmetic: the smallest one, a lone row, and at n_max = 10 a
+    # masked batch and one float64 item of 2^18 // (42 * 84) = 74 rows with a
+    # one-row tail
     @pytest.mark.parametrize(
         "d, n_max, n_cut, batch",
-        [(1, 8, 8, ()), (1, 8, 5, (3,)), (1, 16, 16, (2,)), (2, 4, 4, (2,)), (2, 4, 2, ())],
+        [
+            (1, 8, 8, ()), (1, 8, 5, (3,)), (1, 16, 16, (2,)), (2, 4, 4, (2,)), (2, 4, 2, ()),
+            (1, 0, 0, ()), (1, 10, 10, (75,)), (1, 10, 6, (2,)), (1, 8, 8, (1,)),
+        ],
     )
     def test_galerkin_rhs_matches_the_true_frame_formula(self, d, n_max, n_cut, batch):
         geo = TorusGeometry(d=d, n_max=n_max)

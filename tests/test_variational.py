@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,10 +10,9 @@ from gnls import (
     TorusGeometry,
     bump_norm_scan,
     divergence_scan,
-    drift_cost,
+    kinetic_sum_array,
     objective_estimate,
     ou_gap_oracle,
-    simulate_drift,
     simulate_ou_gap,
     stability_dt,
     to_grid_array,
@@ -25,7 +25,6 @@ from gnls.variational import (
     _bootstrap_means,
     _draw_endpoints,
     _euler_moments,
-    _ou_stepper,
     bump_coeffs,
     ou_gap_variance,
     ou_rates,
@@ -70,6 +69,112 @@ def assert_endpoint_moments(b, z, moments):
     for sample, want in zip(samples, (*moments, 0.0)):
         se = sample.std(axis=0, ddof=1) / math.sqrt(len(sample))
         assert np.all(np.abs(sample.mean(axis=0) - want) <= 4 * se)
+
+
+@dataclass
+class DriftPath:
+    """One realization of the coupled per-mode paths (B_n, Z_{N,n}) on [0,1],
+    the path-by-path oracle of the Euler chain whose endpoint law and
+    expected cost `_euler_moments` gives."""
+
+    params: ModelParams
+    times: np.ndarray
+    b_path: np.ndarray  # (steps+1, n_active) complex
+    z_path: np.ndarray
+    active_modes: np.ndarray
+
+
+def ou_stepper(
+    params: ModelParams,
+    gen: np.random.Generator,
+    m: int,
+    dt: float,
+    keep_paths: bool = False,
+    chunk: int = 2000,
+):
+    """Euler-Maruyama co-simulation of (B_n, Z_{N,n}), dZ = a (c B - Z) dt, on
+    the active modes |n| <= N; the Brownian endpoints of the spectator modes
+    above the cutoff are drawn in one shot (their law at t = 1 is the same and
+    nothing couples to them in time).  Returns (b_final, z_final, steps, dt,
+    active, paths_b, paths_z) with full-box final arrays.
+    """
+    geo = params.geometry
+    modes = geo.modes
+    n_modes = modes.size
+    active = np.abs(modes) <= params.n_cut
+    n_act = int(active.sum())
+    c_act = geo.bracket(-params.alpha / 2.0)[active]
+    a_act = c_act * params.n_cut ** (params.alpha / 2.0)
+    steps = int(round(1.0 / dt))
+    dt = 1.0 / steps
+    noise_scale = math.sqrt(dt / 2.0)
+    k_decay = 1.0 - dt * a_act
+    k_drive = dt * a_act * c_act
+
+    b_final = np.zeros((m, n_modes), dtype=np.complex128)
+    z_final = np.zeros((m, n_modes), dtype=np.complex128)
+    paths_b = paths_z = None
+
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        mm = hi - lo
+        b = np.zeros((mm, n_act), dtype=np.complex128)
+        z = np.zeros((mm, n_act), dtype=np.complex128)
+        if keep_paths and lo == 0:
+            paths_b = [b[0].copy()]
+            paths_z = [z[0].copy()]
+        for _ in range(steps):
+            noise = noise_scale * (
+                gen.standard_normal((mm, n_act))
+                + 1j * gen.standard_normal((mm, n_act))
+            )
+            z = k_decay * z + k_drive * b
+            b += noise
+            if keep_paths and lo == 0:
+                paths_b.append(b[0].copy())
+                paths_z.append(z[0].copy())
+        b_final[lo:hi, active] = b
+        z_final[lo:hi, active] = z
+    # spectator modes: only B(1) ~ CN(0, 1) is ever used downstream
+    n_tail = n_modes - n_act
+    if n_tail:
+        b_final[:, ~active] = (
+            gen.standard_normal((m, n_tail)) + 1j * gen.standard_normal((m, n_tail))
+        ) / math.sqrt(2.0)
+    return b_final, z_final, steps, dt, active, paths_b, paths_z
+
+
+def simulate_drift(config: VariationalConfig, rng: RngStream) -> DriftPath:
+    """One realization of the coupled Brownian / OU mode paths on [0, 1]."""
+    params = config.params
+    dt = config.dt_sde if config.dt_sde is not None else stability_dt(params)
+    gen = rng.generator()
+    _, _, steps, dt, active, pb, pz = ou_stepper(
+        params, gen, 1, dt, keep_paths=True
+    )
+    times = np.linspace(0.0, 1.0, steps + 1)
+    return DriftPath(
+        params, times, np.stack(pb), np.stack(pz), params.geometry.modes[active]
+    )
+
+
+def drift_cost(path: DriftPath, config: VariationalConfig) -> float:
+    """(1/2) int_0^1 ||<grad>^{alpha/2} (-dZ/dt + eta f_N)||_{L^2}^2 dt.
+
+    The bump lives on the annulus (N, 2N], disjoint from the drift modes, so
+    the cross term vanishes and the bump contributes its constant
+    (eta^2 / 2) ||f_N||_{H^{alpha/2}}^2.
+    """
+    params = config.params
+    geo = params.geometry
+    active = np.abs(geo.modes) <= params.n_cut
+    w_active = geo.bracket(params.alpha)[active]
+    dt = float(path.times[1] - path.times[0])
+    dz = np.diff(path.z_path, axis=0) / dt
+    cost_z = 0.5 * dt * float(np.sum(w_active * np.abs(dz) ** 2))
+    f = bump_coeffs(geo, params.n_cut, config.x0)
+    cost_f = 0.5 * config.eta**2 * float(kinetic_sum_array(geo, f, params.alpha))
+    return cost_z + cost_f
 
 
 class TestBump:
@@ -212,7 +317,7 @@ class TestGapLaw:
         # the 4-SE per-mode comparison alone can miss
         p = make_params(4, n_max=8)
         m, dt = 20000, stability_dt(p)
-        b, z, _, _, active, _, _ = _ou_stepper(p, RngStream(30).generator(), m, dt)
+        b, z, _, _, active, _, _ = ou_stepper(p, RngStream(30).generator(), m, dt)
         c = p.geometry.bracket(-p.alpha / 2.0)
         g2 = np.abs(c * b - z)[:, active] ** 2
         v = ou_gap_variance(p, dt, "euler")[active]
