@@ -16,7 +16,6 @@ from gnls import (
     gibbs_ensemble,
     mass_array,
     potential_array,
-    sample_gaussian,
     sample_gaussian_coeffs,
     sigma,
 )
@@ -30,9 +29,9 @@ def main():
     rng = RngStream(seed=2024)
 
     print("== one Gaussian sample ==")
-    u = sample_gaussian(params, rng)
-    print(f"mass J(u)      = {mass_array(geo, u.coeffs):.4f}")
-    v = potential_array(geo, u.coeffs, params.beta)
+    u = sample_gaussian_coeffs(params, rng.generator())
+    print(f"mass J(u)      = {mass_array(geo, u):.4f}")
+    v = potential_array(geo, u, params.beta)
     print(f"potential V(u) = {v:.4f}  (>= vol = {TWO_PI:.4f})")
 
     print("\n== pointwise variance and the moment pole ==")

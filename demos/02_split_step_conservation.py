@@ -11,11 +11,10 @@ from gnls import (
     FlowConfig,
     ModelParams,
     RngStream,
-    SpectralField,
     TorusGeometry,
     evolve,
     liouville_check,
-    sample_gaussian,
+    sample_gaussian_coeffs,
 )
 
 
@@ -23,9 +22,9 @@ def main():
     geo = TorusGeometry(d=1, n_max=16)
     params = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=16, geometry=geo)
     gen = np.random.default_rng(5)
-    u0 = SpectralField.zero(geo)
+    u0 = np.zeros(geo.box_shape, np.complex128)
     for n in range(-3, 4):
-        u0.coeffs[16 + n] = 0.08 * (gen.standard_normal() + 1j * gen.standard_normal())
+        u0[16 + n] = 0.08 * (gen.standard_normal() + 1j * gen.standard_normal())
 
     print("== conservation over t in [0, 10], dt = 1e-3 ==")
     cfg = FlowConfig(params=params, dt=1e-3, t_final=10.0, store_every=1000)
@@ -46,7 +45,7 @@ def main():
     geo2 = TorusGeometry(d=1, n_max=2)
     p2 = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=2, geometry=geo2)
     for seed in range(3):
-        probe = sample_gaussian(p2, RngStream(seed))
+        probe = sample_gaussian_coeffs(p2, RngStream(seed).generator())
         print(f"probe {seed}: {liouville_check(p2, 1e-3, probe):.2e}")
 
 

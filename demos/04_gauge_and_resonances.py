@@ -12,7 +12,6 @@ from gnls import (
     FlowConfig,
     ModelParams,
     MultilinearSpec,
-    SpectralField,
     TorusGeometry,
     decomposition_check,
     gauged_flow_equivalence,
@@ -44,7 +43,8 @@ def main():
     print("\n== gauged flow vs gauge of the flow ==")
     geo = TorusGeometry(d=1, n_max=24)
     params = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=24, geometry=geo)
-    u0 = SpectralField.from_modes(geo, {-1: 0.4 + 0.1j, 0: 0.5 - 0.2j, 2: 0.2 + 0.3j})
+    u0 = np.zeros(geo.box_shape, np.complex128)
+    u0[24 + np.array([-1, 0, 2])] = [0.4 + 0.1j, 0.5 - 0.2j, 0.2 + 0.3j]  # modes -1, 0, 2
     for dt in (4e-4, 2e-4, 1e-4):
         cfg = FlowConfig(params=params, dt=dt, t_final=0.5, dispersion_symbol="pure")
         rep = gauged_flow_equivalence(u0, cfg, 0.5)

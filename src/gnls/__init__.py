@@ -3,7 +3,6 @@ nonlinear Schrodinger equation on the flat torus."""
 
 from .spectral import (
     DivergentSeriesError,
-    SpectralField,
     TorusGeometry,
     dispersion_weights,
     from_grid_array,
@@ -24,7 +23,6 @@ from .measures import (
     kinetic_sum_array,
     mass_array,
     potential_array,
-    sample_gaussian,
     sample_gaussian_coeffs,
 )
 from .dynamics import (

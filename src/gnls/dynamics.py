@@ -46,7 +46,6 @@ import numpy as np
 
 from .measures import ModelParams, kinetic_sum_array, mass_array, potential_array
 from .spectral import (
-    SpectralField,
     TorusGeometry,
     _block_rows,
     _dense,
@@ -95,7 +94,7 @@ class Trajectory:
     """Time stamps, stored snapshots and per-step conservation diagnostics."""
 
     times: np.ndarray
-    snapshots: list  # list[SpectralField], every store_every-th step
+    snapshots: np.ndarray  # (k, *box): the start, every store_every-th step and the last
     snapshot_times: np.ndarray
     diagnostics: dict  # name -> array over all macro steps, stamped by times
 
@@ -293,22 +292,25 @@ def _block_diagnostics(
 
 
 def evolve(
-    u0: SpectralField, cfg: FlowConfig, mode: str = "galerkin", gauge_shift: bool = False
+    u0: np.ndarray, cfg: FlowConfig, mode: str = "galerkin", gauge_shift: bool = False
 ) -> Trajectory:
-    """Integrate to t_final (negative allowed: steps run backward) recording
-    diagnostics at every macro step and snapshots every store_every steps.
-    Raises ValueError at the first step whose diagnostics are not finite."""
+    """Integrate the box `u0` of cfg.params.geometry to t_final (negative
+    allowed: steps run backward) recording diagnostics at every macro step and
+    snapshots every store_every steps.  Raises ValueError for a `u0` of
+    another shape and at the first step whose diagnostics are not finite."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    geometry = u0.geometry
+    geometry = cfg.params.geometry
+    if np.shape(u0) != geometry.box_shape:
+        raise ValueError(f"u0 has shape {np.shape(u0)}, not the box {geometry.box_shape}")
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     mask = geometry.euclid_mask(cfg.params.n_cut)
-    coeffs = u0.coeffs.copy()
+    coeffs = np.array(u0, np.complex128)
     step = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
     times = np.zeros(n_steps + 1)
-    snaps = [SpectralField(geometry, coeffs.copy())]
-    snap_times = [0.0]
+    snaps = np.empty((-(-n_steps // cfg.store_every) + 1, *coeffs.shape), np.complex128)
+    stored = []
     # diagnostics run over blocks of states with at most _BLOCK_BYTES of grid
     rows = _block_rows(16 * math.prod(geometry.grid_shape))
     block = np.empty((min(rows, n_steps + 1), *coeffs.shape), np.complex128)
@@ -317,9 +319,9 @@ def evolve(
         if k:
             coeffs = step(coeffs)
             times[k] = k * dt
-            if k % cfg.store_every == 0 or k == n_steps:
-                snaps.append(SpectralField(geometry, coeffs.copy()))
-                snap_times.append(times[k])
+        if k % cfg.store_every == 0 or k == n_steps:
+            snaps[len(stored)] = coeffs
+            stored.append(k)
         block[k % len(block)] = coeffs
         if k % len(block) == len(block) - 1 or k == n_steps:
             start = k - k % len(block)
@@ -330,7 +332,7 @@ def evolve(
             if not finite.all():
                 bad = start + int(np.argmin(finite))
                 raise ValueError(f"the flow is not finite at step {bad} (t = {times[bad]:g})")
-    return Trajectory(times, snaps, np.array(snap_times), diags)
+    return Trajectory(times, snaps, times[stored], diags)
 
 
 def evolve_ensemble(
@@ -363,19 +365,19 @@ def evolve_ensemble(
 def liouville_check(
     params: ModelParams,
     dt: float,
-    probe: SpectralField,
+    probe: np.ndarray,
     h: float = 1e-5,
     symbol: str = "bracket",
     substeps: int = 1,
 ) -> float:
-    """|det J - 1| of one Strang Galerkin step, J estimated by central
-    differences on the 2 * #active-modes real coordinates.
+    """|det J - 1| of one Strang Galerkin step at the box `probe`, J estimated
+    by central differences on the 2 * #active-modes real coordinates.
 
     The active subsystem is self-contained (high modes evolve linearly and
     decouple), so only modes |n| <= n_cut are treated as coordinates.
     Dimension is capped at 20 for finite-difference conditioning.
     """
-    geometry = probe.geometry
+    geometry = params.geometry
     mask = geometry.euclid_mask(params.n_cut)
     idx = np.flatnonzero(mask.ravel())
     dim = 2 * idx.size
@@ -388,8 +390,8 @@ def liouville_check(
         nonlinear_substeps=substeps,
         dispersion_symbol=symbol,
     )
-    base = probe.coeffs.ravel().copy()
-    macro_step = _flow_step(geometry, cfg, "galerkin", dt, probe.coeffs)
+    base = np.array(probe, np.complex128).ravel()
+    macro_step = _flow_step(geometry, cfg, "galerkin", dt, probe)
 
     def step(x: np.ndarray) -> np.ndarray:
         a = base.copy()
@@ -421,7 +423,7 @@ class ConvergenceTable:
 
 
 def truncation_convergence(
-    u0: SpectralField,
+    u0: np.ndarray,
     cfg: FlowConfig,
     n_ladder: list,
     n_ref: int,
@@ -435,19 +437,16 @@ def truncation_convergence(
     """
     if n_ref < max(n_ladder):
         raise ValueError("reference cutoff must not be below the ladder")
-    if u0.geometry.n_max < n_ref:
+    geometry = cfg.params.geometry
+    if geometry.n_max < n_ref:
         raise ValueError("geometry too small for the reference cutoff")
     ref_cfg = replace(cfg, params=replace(cfg.params, n_cut=n_ref))
-    ref = evolve(u0, ref_cfg, mode)
-    ref_stack = np.stack([f.coeffs for f in ref.snapshots])
+    ref = evolve(u0, ref_cfg, mode).snapshots
     errors = []
     for n in n_ladder:
         cfg_n = replace(cfg, params=replace(cfg.params, n_cut=int(n)))
-        traj = evolve(u0, cfg_n, mode)
-        mask = u0.geometry.euclid_mask(int(n))
-        stack = np.stack([f.coeffs for f in traj.snapshots])
-        diff = stack * mask - ref_stack
-        errors.append(float(np.max(sobolev_norm_array(u0.geometry, diff, s))))
+        diff = evolve(u0, cfg_n, mode).snapshots * geometry.euclid_mask(int(n)) - ref
+        errors.append(float(np.max(sobolev_norm_array(geometry, diff, s))))
     n_arr = np.asarray(n_ladder, dtype=float)
     err = np.asarray(errors)
     pos = err > 0

@@ -21,11 +21,10 @@ from .harness import (
 from .measures import (
     RngStream,
     gibbs_ensemble,
-    sample_gaussian,
     sample_gaussian_coeffs,
     weighted_mean_stderr,
 )
-from .spectral import SpectralField, TWO_PI, TorusGeometry, sobolev_norm_array
+from .spectral import TWO_PI, TorusGeometry, sobolev_norm_array
 from .variational import VariationalConfig, _euler_moments, divergence_scan, objective_estimate
 
 
@@ -61,7 +60,7 @@ def run_sample(config: ExperimentConfig) -> RunResult:
 
 def run_evolve(config: ExperimentConfig) -> RunResult:
     rng = RngStream(config.seed)
-    u0 = sample_gaussian(config.params, rng)
+    u0 = sample_gaussian_coeffs(config.params, rng.generator())
     traj = evolve(u0, config.flow_config(), mode=config.mode)
     trajectory_to_csv(traj, os.path.join(config.out, "trajectory.csv"),
                       snapshot_dir=os.path.join(config.out, "snapshots"))
@@ -186,9 +185,9 @@ def run_truncation(config: ExperimentConfig) -> RunResult:
     rng = RngStream(config.seed)
     gen = rng.generator()
     geo = config.params.geometry
-    u0 = SpectralField.zero(geo)
+    u0 = np.zeros(geo.box_shape, np.complex128)
     for n in range(-spec.u0_bandwidth, spec.u0_bandwidth + 1):
-        u0.coeffs[geo.n_max + n] = (
+        u0[geo.n_max + n] = (
             gen.standard_normal() + 1j * gen.standard_normal()
         ) / (2.0 * (1 + abs(n)))
     cfg = config.flow_config()

@@ -63,9 +63,9 @@ def thread_count(requested: int | None = None) -> int:
 #
 # One frozen dataclass per config block.  A field's key is its name (or
 # `metadata["key"]`), its annotation is the JSON type the key takes, its
-# default is the only copy of that key's default, `metadata["min"]` is a
-# lower bound and `metadata["min_len"]` a least list length.  `_parse` walks
-# the fields, so a block's keys are its fields.
+# default is the only copy of that key's default; `metadata` may hold a lower
+# bound "min", a least list length "min_len" and an open interval "open" for
+# every entry.  `_parse` walks the fields, so a block's keys are its fields.
 
 
 class ConfigError(ValueError):
@@ -98,7 +98,7 @@ class FlowBlock:
     nonlinear_substeps: int = FlowConfig.nonlinear_substeps
     dispersion_symbol: str = FlowConfig.dispersion_symbol
     scheme: str = FlowConfig.scheme
-    store_every: int = FlowConfig.store_every
+    store_every: int = field(default=FlowConfig.store_every, metadata={"min": 1})
 
 
 @dataclass(frozen=True)
@@ -109,8 +109,11 @@ class ObservablesBlock:
 
 @dataclass(frozen=True)
 class MomentsBlock:
-    # no target, or one sample (no standard error, so z = 0), would pass vacuously
-    pbeta_sigma: tuple[float, ...] = field(default=(0.2, 0.5, 0.8), metadata={"min_len": 1})
+    # no target, one sample (no standard error, so z = 0) or a target of 0
+    # (exp 0 = 1) would pass vacuously; from 1 on the moment is infinite
+    pbeta_sigma: tuple[float, ...] = field(
+        default=(0.2, 0.5, 0.8), metadata={"min_len": 1, "open": (0, 1)}
+    )
     samples: int = field(default=10**5, metadata={"min": 2})
 
 
@@ -178,6 +181,8 @@ class ExperimentConfig:
             object.__setattr__(self, "mode", modes[0])
         if self.flow.t_final is None:
             object.__setattr__(self, "flow", replace(self.flow, t_final=self.t_horizon))
+        if self.variational.n_ladder and self.params.d != 1:  # the bump and OU drift are d = 1
+            raise ValueError(f"variational.n_ladder needs d = 1, got d = {self.params.d}")
         if self.variational.gamma_sign is None:
             sign = math.copysign(1.0, self.params.gamma or -1.0)
             object.__setattr__(self, "variational", replace(self.variational, gamma_sign=sign))
@@ -221,6 +226,9 @@ def _parse(cls, raw, where: str):
             least = f.metadata.get("min_len")
             if least is not None and value is not None and len(value) < least:
                 raise ConfigError(f"{prefix}{key} needs at least {least} entries, got {raw[key]}")
+            bounds = f.metadata.get("open")
+            if bounds is not None and not all(bounds[0] < v < bounds[1] for v in value):
+                raise ConfigError(f"{prefix}{key} entries must lie in {bounds}, got {raw[key]}")
         elif f.default is MISSING:
             raise ConfigError(f"missing required key {prefix}{key}")
     try:

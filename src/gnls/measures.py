@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    SpectralField,
     TorusGeometry,
     _block_rows,
     dispersion_weights,
@@ -117,11 +116,6 @@ def sample_gaussian_coeffs(
     g = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) / math.sqrt(2.0)
     amp = geo.bracket(-params.alpha / 2.0) * geo.euclid_mask(params.n_cut)
     return g * amp
-
-
-def sample_gaussian(params: ModelParams, rng: RngStream) -> SpectralField:
-    """One draw from the truncated Gaussian measure."""
-    return SpectralField(params.geometry, sample_gaussian_coeffs(params, rng.generator()))
 
 
 # ---------------------------------------------------------------------------

@@ -183,36 +183,6 @@ def _block_rows(row_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // row_bytes)
 
 
-@dataclass
-class SpectralField:
-    """Coefficients a_n of u = sum a_n phi_n on the geometry's mode box."""
-
-    geometry: TorusGeometry
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != self.geometry.box_shape:
-            raise ValueError(
-                f"coefficient shape {self.coeffs.shape} does not match "
-                f"geometry box {self.geometry.box_shape}"
-            )
-
-    @classmethod
-    def zero(cls, geometry: TorusGeometry) -> "SpectralField":
-        return cls(geometry, np.zeros(geometry.box_shape, dtype=np.complex128))
-
-    @classmethod
-    def from_modes(
-        cls, geometry: TorusGeometry, entries: dict
-    ) -> "SpectralField":
-        """Build a field from {mode: coefficient}; modes are ints (d=1) or tuples."""
-        u = cls.zero(geometry)
-        for n, c in entries.items():
-            u.coeffs[tuple(np.atleast_1d(n) + geometry.n_max)] = c
-        return u
-
-
 # ---------------------------------------------------------------------------
 # transforms (array kernels broadcast over leading batch axes)
 # ---------------------------------------------------------------------------
@@ -396,20 +366,21 @@ def sigma(alpha: float, n_cut: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def save_snapshot(u: SpectralField, path) -> None:
-    """Write a field as magic 'GNLS', u32 LE version/d/n_max, then (re, im)
-    float64 LE pairs in ascending lexicographic mode order."""
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<III", SNAPSHOT_VERSION, u.geometry.d, u.geometry.n_max
-    )
+def save_snapshot(coeffs: np.ndarray, path) -> None:
+    """Write a coefficient box (d = 1 or 2, side 2 n_max + 1) as magic 'GNLS',
+    u32 LE version/d/n_max, then (re, im) float64 LE pairs in ascending lexicographic mode order."""
+    shape = np.shape(coeffs)
+    if len(shape) not in (1, 2) or len(set(shape)) != 1 or shape[0] % 2 == 0:
+        raise ValueError(f"a snapshot is a d = 1 or 2 box of odd side, got shape {shape}")
+    header = SNAPSHOT_MAGIC + struct.pack("<III", SNAPSHOT_VERSION, len(shape), shape[0] // 2)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(u.coeffs, dtype="<c16").tobytes())
+        fh.write(np.ascontiguousarray(coeffs, dtype="<c16").tobytes())
 
 
-def load_snapshot(path, oversampling: float = DEFAULT_OVERSAMPLING) -> SpectralField:
-    """Read a `save_snapshot` file bit for bit; a file that is not exactly
-    one header and its body raises ValueError."""
+def load_snapshot(path) -> np.ndarray:
+    """Read a `save_snapshot` file bit for bit into a complex128 box; a file
+    that is not exactly one header and its body raises ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != SNAPSHOT_MAGIC:
@@ -419,11 +390,10 @@ def load_snapshot(path, oversampling: float = DEFAULT_OVERSAMPLING) -> SpectralF
     version, d, n_max = struct.unpack("<III", raw[4:16])
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    geometry = TorusGeometry(d=d, n_max=n_max, oversampling=oversampling)
-    size = 16 * math.prod(geometry.box_shape)
+    shape = TorusGeometry(d, n_max).box_shape  # refuses d other than 1 or 2
+    size = 16 * math.prod(shape)
     if len(raw) - 16 != size:
         raise ValueError(
             f"snapshot body is {len(raw) - 16} bytes; d = {d}, n_max = {n_max} needs {size}"
         )
-    coeffs = np.frombuffer(raw, dtype="<c16", offset=16).reshape(geometry.box_shape)
-    return SpectralField(geometry, coeffs.astype(np.complex128))
+    return np.frombuffer(raw, dtype="<c16", offset=16).reshape(shape).astype(np.complex128)

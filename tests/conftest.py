@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gnls import ModelParams, RngStream, SpectralField, TorusGeometry
+from gnls import ModelParams, RngStream, TorusGeometry
 from gnls.spectral import TWO_PI
 
 
@@ -26,7 +26,16 @@ def random_field(geometry, gen, decay=1.0, scale=1.0):
     """Random band-limited field with <n>^(-decay) coefficient falloff."""
     shape = geometry.box_shape
     g = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    return SpectralField(geometry, scale * g * geometry.bracket(-decay))
+    return scale * g * geometry.bracket(-decay)
+
+
+def from_modes(geometry, entries):
+    """The coefficient box with {mode: coefficient}, zero elsewhere; modes are
+    ints (d = 1) or tuples."""
+    coeffs = np.zeros(geometry.box_shape, np.complex128)
+    for n, c in entries.items():
+        coeffs[tuple(np.atleast_1d(n) + geometry.n_max)] = c
+    return coeffs
 
 
 def direct_synthesis(geometry):
@@ -40,10 +49,10 @@ def direct_synthesis(geometry):
 def smooth_field(geometry, bandwidth=3, scale=0.1, seed=7):
     """Deterministic smooth low-mode field used by the dynamics tests."""
     gen = np.random.default_rng(seed)
-    u = SpectralField.zero(geometry)
+    u = np.zeros(geometry.box_shape, np.complex128)
     c = geometry.n_max
     for n in range(-bandwidth, bandwidth + 1):
-        u.coeffs[c + n] = scale * (gen.standard_normal() + 1j * gen.standard_normal()) / (
+        u[c + n] = scale * (gen.standard_normal() + 1j * gen.standard_normal()) / (
             1 + abs(n)
         )
     return u

@@ -255,6 +255,21 @@ class TestCli:
             # an ensemble of one has stderr 0; of none, nothing to concatenate
             ("invariance", {"ensemble": 1}, "ensemble"),
             ("invariance", {"ensemble": 0}, "ensemble"),
+            # a moment that is infinite (from 1 on) or constant (at 0)
+            ("moments", {"moments": {"pbeta_sigma": [1.5]}}, "moments.pbeta_sigma"),
+            ("moments", {"moments": {"pbeta_sigma": [0.2, 1.0]}}, "moments.pbeta_sigma"),
+            ("moments", {"moments": {"pbeta_sigma": [0.0]}}, "moments.pbeta_sigma"),
+            # the objective's bump and OU drift are d = 1 only
+            (
+                "variational",
+                {
+                    "params": {"d": 2, "alpha": 2.5, "beta": 0.1, "gamma": -1.0, "n_cut": 2},
+                    "variational": {"n_ladder": [2]},
+                },
+                "variational.n_ladder",
+            ),
+            # snapshots every 0 steps
+            ("evolve", {"flow": {"t_final": 0.05, "store_every": 0}}, "flow.store_every"),
         ],
     )
     def test_rejected_config_exits_one_before_output(

@@ -1,9 +1,10 @@
-"""The demos are run by hand, so guard their imports here: every name a demo
-imports from `gnls` or `gnls.<module>` must exist."""
+"""Guard the demos: every name a demo imports from `gnls` or
+`gnls.<module>` must exist, and every demo but the slow 03 runs to its end."""
 
 import ast
 import importlib
 import pathlib
+import runpy
 
 import pytest
 
@@ -31,3 +32,12 @@ def test_demo_imports_exist(path):
         if not hasattr(importlib.import_module(module), name)
     ]
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+# demo 03 takes about 14 s, so only its imports are checked
+@pytest.mark.parametrize(
+    "path", [p for p in DEMOS if not p.name.startswith("03_")], ids=lambda p: p.name
+)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

@@ -7,7 +7,6 @@ from gnls import (
     FlowConfig,
     ModelParams,
     RngStream,
-    SpectralField,
     TorusGeometry,
     collocation_phase_array,
     dispersion_weights,
@@ -19,7 +18,6 @@ from gnls import (
     liouville_check,
     mass_array,
     potential_array,
-    sample_gaussian,
     sample_gaussian_coeffs,
     sigma,
     sobolev_norm_array,
@@ -37,7 +35,7 @@ from gnls.dynamics import (
 )
 from gnls.spectral import TWO_PI
 
-from conftest import direct_synthesis, random_field, smooth_field
+from conftest import direct_synthesis, from_modes, random_field, smooth_field
 
 GEN = np.random.default_rng(3)
 
@@ -57,17 +55,17 @@ def make_params(geo, alpha=2.0, beta=0.5, gamma=1.0, n_cut=None):
 
 def linear(u, t, cfg):
     """Exact linear flow of u over time t under cfg's dispersion symbol."""
-    omega = dispersion_weights(u.geometry, cfg.params.alpha, cfg.dispersion_symbol)
-    return u.coeffs * np.exp(-2j * t * omega)
+    omega = dispersion_weights(cfg.params.geometry, cfg.params.alpha, cfg.dispersion_symbol)
+    return u * np.exp(-2j * t * omega)
 
 
 def collocation(u, t, params):
-    return collocation_phase_array(u.geometry, u.coeffs, t, params)
+    return collocation_phase_array(params.geometry, u, t, params)
 
 
 def galerkin(u, t, params, substeps):
-    mask = u.geometry.euclid_mask(params.n_cut)
-    return galerkin_substep_array(u.geometry, u.coeffs, t, params, substeps, mask)
+    mask = params.geometry.euclid_mask(params.n_cut)
+    return galerkin_substep_array(params.geometry, u, t, params, substeps, mask)
 
 
 class TestLinearSubstep:
@@ -76,30 +74,30 @@ class TestLinearSubstep:
         v = linear(u, 0.37, make_cfg(params16))
         for s in (-1.0, 0.0, 0.5, 2.0):
             assert sobolev_norm_array(geo16, v, s) == pytest.approx(
-                sobolev_norm_array(geo16, u.coeffs, s), rel=1e-14
+                sobolev_norm_array(geo16, u, s), rel=1e-14
             )
 
     def test_pure_symbol_periodicity_alpha2(self, geo16, params16):
         # exp(2 pi i n^2) = 1 for integer n
         u = random_field(geo16, GEN)
         v = linear(u, TWO_PI, make_cfg(params16, symbol="pure"))
-        assert np.allclose(v, u.coeffs, atol=1e-12)
+        assert np.allclose(v, u, atol=1e-12)
 
     def test_pure_symbol_fixes_mean_mode(self, geo16, params16):
         u = random_field(geo16, GEN)
         v = linear(u, 1.234, make_cfg(params16, symbol="pure"))
-        assert v[geo16.n_max] == u.coeffs[geo16.n_max]
+        assert v[geo16.n_max] == u[geo16.n_max]
 
     def test_mode_moduli_exact(self, geo16, params16):
         u = random_field(geo16, GEN)
         v = linear(u, 0.1, make_cfg(params16))
-        assert np.max(np.abs(np.abs(v) - np.abs(u.coeffs))) < 1e-15
+        assert np.max(np.abs(np.abs(v) - np.abs(u))) < 1e-15
 
 
 class TestCollocationSubstep:
     def test_constant_field_closed_form(self, geo16):
         p = make_params(geo16, beta=1.0, gamma=1.0)
-        one = SpectralField.from_modes(geo16, {0: math.sqrt(TWO_PI)})
+        one = from_modes(geo16, {0: math.sqrt(TWO_PI)})
         for t in (0.1, 0.7):
             out = collocation(one, t, p)
             expected = math.sqrt(TWO_PI) * np.exp(-2j * math.e * t)
@@ -110,7 +108,7 @@ class TestCollocationSubstep:
         # re-analysis truncation at the tail level
         u = smooth_field(geo16, bandwidth=3, scale=0.3)
         out = collocation(u, 0.3, params16)
-        gu = np.abs(to_grid_array(geo16, u.coeffs))
+        gu = np.abs(to_grid_array(geo16, u))
         gv = np.abs(to_grid_array(geo16, out))
         assert np.max(np.abs(gu - gv)) < 1e-10
 
@@ -118,13 +116,13 @@ class TestCollocationSubstep:
         p = make_params(geo16, gamma=0.0)
         u = random_field(geo16, GEN)
         out = collocation(u, 0.5, p)
-        assert np.allclose(out, u.coeffs, atol=1e-15)
+        assert np.allclose(out, u, atol=1e-15)
 
 
 class TestGalerkinSubstep:
     def test_constant_field_matches_collocation(self, geo16):
         p = make_params(geo16, beta=1.0, gamma=1.0)
-        one = SpectralField.from_modes(geo16, {0: 0.8 - 0.3j})
+        one = from_modes(geo16, {0: 0.8 - 0.3j})
         a = galerkin(one, 0.1, p, substeps=16)
         b = collocation(one, 0.1, p)
         assert np.max(np.abs(a - b)) < 1e-10
@@ -134,12 +132,12 @@ class TestGalerkinSubstep:
         u = random_field(geo16, GEN)
         out = galerkin(u, 0.2, p, substeps=2)
         high = np.abs(geo16.modes) > 4
-        assert np.array_equal(out[high], u.coeffs[high])
+        assert np.array_equal(out[high], u[high])
 
     def test_mass_drift_fourth_order(self, geo16):
         p = make_params(geo16, beta=0.5, gamma=1.0)
         u = random_field(geo16, GEN, decay=2.0, scale=0.8)
-        m0 = float(np.sum(np.abs(u.coeffs) ** 2))
+        m0 = float(np.sum(np.abs(u) ** 2))
         subs = (2, 4, 8, 16)
         drift = []
         for sub in subs:
@@ -239,12 +237,12 @@ class TestBufferedGalerkin:
         # |u|^2 = 800 everywhere: e^{beta |u|^2} is not a float64 at beta = 1
         geo = TorusGeometry(d=1, n_max=4)
         p = ModelParams(d=1, alpha=2.0, beta=1.0, gamma=1.0, n_cut=4, geometry=geo)
-        u0 = SpectralField.from_modes(geo, {0: math.sqrt(800.0 * TWO_PI)})
+        u0 = from_modes(geo, {0: math.sqrt(800.0 * TWO_PI)})
         cfg = make_cfg(p, dt=1e-2, t_final=0.05)
         message = r"^beta max\|Pi_N u0\|\^2 = 800 exceeds the exp limit 709\.783$"
         with pytest.raises(ValueError, match=message):
             evolve(u0, cfg)
-        rows = np.stack([0.1 * u0.coeffs, u0.coeffs])
+        rows = np.stack([0.1 * u0, u0])
         with pytest.raises(ValueError, match=message):
             evolve_ensemble(geo, rows, cfg)
 
@@ -321,7 +319,7 @@ class TestBlockDiagnostics:
         traj = evolve(u0, make_cfg(p, dt=1e-2, t_final=0.1, store_every=1), mode)
         assert len(traj.snapshots) == len(traj.times) == 11
         mask = geo.euclid_mask(3)
-        rows = [f.coeffs for f in traj.snapshots]
+        rows = list(traj.snapshots)
         v = [potential_array(geo, a * mask, p.beta) for a in rows]
         expected = {
             "mass": [mass_array(geo, a) for a in rows],
@@ -345,7 +343,7 @@ class TestBlockDiagnostics:
         mask = geo.euclid_mask(4)
         w = dispersion_weights(geo, 2.0, "pure")
         amp = math.sqrt(834.0 * TWO_PI**d) / np.count_nonzero(mask)
-        u0 = SpectralField(geo, amp * mask * np.exp(2j * 0.3 * w))
+        u0 = amp * mask * np.exp(2j * 0.3 * w)
         cfg = make_cfg(p, dt=0.05, t_final=1.0, symbol="pure")
         # blocks of four states hold steps 4..7, so step 6 falls mid-block
         for rows in (1, 4):
@@ -357,15 +355,22 @@ class TestBlockDiagnostics:
 
 
 class TestEvolve:
+    def test_refuses_a_start_of_another_shape(self, geo16, params16):
+        cfg = make_cfg(params16, dt=1e-2, t_final=0.05)
+        # another geometry's box, a d = 2 box, a batch of boxes and a scalar
+        for shape in ((15,), (33, 33), (2, 33), ()):
+            with pytest.raises(ValueError, match=r"not the box \(33,\)"):
+                evolve(np.zeros(shape, np.complex128), cfg)
+
     def test_gamma_zero_is_linear_flow(self, geo16):
         p = make_params(geo16, gamma=0.0)
         u0 = random_field(geo16, GEN)
         cfg = make_cfg(p, dt=1e-2, t_final=0.3)
         traj = evolve(u0, cfg, "galerkin")
         expected = linear(u0, 0.3, cfg)
-        assert np.max(np.abs(traj.snapshots[-1].coeffs - expected)) < 1e-12
+        assert np.max(np.abs(traj.snapshots[-1] - expected)) < 1e-12
         for snap in traj.snapshots:
-            assert np.allclose(np.abs(snap.coeffs), np.abs(u0.coeffs), atol=1e-14)
+            assert np.allclose(np.abs(snap), np.abs(u0), atol=1e-14)
 
     def test_mass_conservation(self, geo16):
         p = make_params(geo16)
@@ -390,7 +395,7 @@ class TestEvolve:
         u0 = smooth_field(geo16, scale=0.2)
         fw = evolve(u0, make_cfg(p, dt=1e-2, t_final=1.0), "galerkin").snapshots[-1]
         bw = evolve(fw, make_cfg(p, dt=1e-2, t_final=-1.0), "galerkin").snapshots[-1]
-        assert np.max(np.abs(bw.coeffs - u0.coeffs)) < 1e-9
+        assert np.max(np.abs(bw - u0)) < 1e-9
 
     def test_high_modes_follow_linear_flow_exactly(self, geo16):
         p = make_params(geo16, n_cut=6)
@@ -399,7 +404,7 @@ class TestEvolve:
         traj = evolve(u0, cfg, "galerkin")
         high = np.abs(geo16.modes) > 6
         expected = linear(u0, 0.25, cfg)[high]
-        assert np.max(np.abs(traj.snapshots[-1].coeffs[high] - expected)) < 1e-12
+        assert np.max(np.abs(traj.snapshots[-1][high] - expected)) < 1e-12
 
     def test_collocation_trajectory_conserves_mass(self, geo16):
         p = make_params(geo16, beta=0.3)
@@ -415,10 +420,10 @@ class TestEvolve:
         u0 = smooth_field(geo16, scale=0.3)
         out = collocation(u0, 0.7, p)
         assert mass_array(geo16, out) == pytest.approx(
-            mass_array(geo16, u0.coeffs), rel=1e-12
+            mass_array(geo16, u0), rel=1e-12
         )
         assert potential_array(geo16, out, p.beta) == pytest.approx(
-            potential_array(geo16, u0.coeffs, p.beta), rel=1e-12
+            potential_array(geo16, u0, p.beta), rel=1e-12
         )
 
     def test_lie_scheme_first_order(self, geo16):
@@ -439,20 +444,20 @@ class TestLiouville:
     def test_unitary_when_linear(self):
         geo = TorusGeometry(d=1, n_max=2)
         p = make_params(geo, gamma=0.0, n_cut=2)
-        probe = sample_gaussian(p, RngStream(4))
+        probe = sample_gaussian_coeffs(p, RngStream(4).generator())
         assert liouville_check(p, 1e-3, probe) <= 1e-10
 
     def test_nonlinear_volume_preserved(self):
         geo = TorusGeometry(d=1, n_max=2)
         p = make_params(geo, beta=0.5, gamma=1.0, n_cut=2)
-        probe = sample_gaussian(p, RngStream(5))
+        probe = sample_gaussian_coeffs(p, RngStream(5).generator())
         assert liouville_check(p, 1e-3, probe) <= 1e-6
 
     def test_probe_independence(self):
         geo = TorusGeometry(d=1, n_max=2)
         p = make_params(geo, beta=0.5, gamma=1.0, n_cut=2)
         devs = [
-            liouville_check(p, 1e-3, sample_gaussian(p, RngStream(100 + i)))
+            liouville_check(p, 1e-3, sample_gaussian_coeffs(p, RngStream(100 + i).generator()))
             for i in range(5)
         ]
         assert max(devs) <= 1e-6
@@ -460,7 +465,7 @@ class TestLiouville:
     def test_dimension_cap(self):
         geo = TorusGeometry(d=1, n_max=8)
         p = make_params(geo, n_cut=8)
-        probe = sample_gaussian(p, RngStream(6))
+        probe = sample_gaussian_coeffs(p, RngStream(6).generator())
         with pytest.raises(ValueError):
             liouville_check(p, 1e-3, probe)
 
@@ -491,7 +496,7 @@ class TestTruncationConvergence:
         cfg = make_cfg(p, dt=1e-2, t_final=0.2, store_every=5)
         table = truncation_convergence(u0, cfg, [4, 8], 32, 0.5)
         for n, err in zip(table.n_values, table.errors):
-            tail = u0.coeffs * (np.abs(geo.modes) > n)
+            tail = u0 * (np.abs(geo.modes) > n)
             expected = float(
                 np.sqrt(np.sum(geo.bracket(1.0) * np.abs(tail) ** 2))
             )

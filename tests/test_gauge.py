@@ -8,7 +8,6 @@ from gnls import (
     FlowConfig,
     ModelParams,
     MultilinearSpec,
-    SpectralField,
     TorusGeometry,
     apply_gauge,
     decomposition_check,
@@ -22,7 +21,7 @@ from gnls import (
 from gnls.gauge import EnumerationBudgetError, cumulative_simpson
 from gnls.spectral import TWO_PI
 
-from conftest import smooth_field
+from conftest import from_modes, smooth_field
 
 GEN = np.random.default_rng(11)
 
@@ -33,7 +32,7 @@ def make_params(geo, alpha=2.0, beta=0.5, gamma=1.0):
 
 def gauge_value_series(u, params, terms=50):
     """Series oracle 2 gamma beta sum_k (beta^k / k!) (k+1) A[|u|^{2k}]."""
-    absq = np.abs(to_grid_array(u.geometry, u.coeffs)) ** 2
+    absq = np.abs(to_grid_array(params.geometry, u)) ** 2
     total = 0.0
     term = np.ones_like(absq)  # beta^k |u|^{2k} / k!
     for k in range(terms):
@@ -54,22 +53,22 @@ class TestMeanFunctional:
 
     def test_constant(self):
         geo = TorusGeometry(d=1, n_max=4)
-        u = SpectralField.from_modes(geo, {0: 2.5 * math.sqrt(TWO_PI)})
-        assert np.mean(to_grid_array(geo, u.coeffs)) == pytest.approx(2.5)
+        u = from_modes(geo, {0: 2.5 * math.sqrt(TWO_PI)})
+        assert np.mean(to_grid_array(geo, u)) == pytest.approx(2.5)
 
     def test_oscillation_averages_out(self):
         geo = TorusGeometry(d=1, n_max=4)
-        u = SpectralField.from_modes(geo, {1: 1.0})
-        assert abs(np.mean(to_grid_array(geo, u.coeffs))) < 1e-15
+        u = from_modes(geo, {1: 1.0})
+        assert abs(np.mean(to_grid_array(geo, u))) < 1e-15
 
     def test_mean_of_modulus_squared(self):
         # A[|u|^2] = sum |c_n|^2 for u = sum c_n e^{inx}
         geo = TorusGeometry(d=1, n_max=4)
         c0, c1 = 1.0, 2.0
-        u = SpectralField.from_modes(
+        u = from_modes(
             geo, {0: c0 * math.sqrt(TWO_PI), 1: c1 * math.sqrt(TWO_PI)}
         )
-        absq = np.abs(to_grid_array(geo, u.coeffs)) ** 2
+        absq = np.abs(to_grid_array(geo, u)) ** 2
         assert np.mean(absq) == pytest.approx(5.0, rel=1e-12)
 
     def test_coefficient_sequence(self):
@@ -83,14 +82,14 @@ class TestGaugeValue:
     def test_zero_field(self):
         geo = TorusGeometry(d=1, n_max=4)
         p = make_params(geo, beta=0.7, gamma=1.3)
-        assert gauge_value(SpectralField.zero(geo), p) == pytest.approx(
+        assert gauge_value(np.zeros(geo.box_shape, np.complex128), p) == pytest.approx(
             2.0 * 1.3 * 0.7
         )
 
     def test_constant_one(self):
         geo = TorusGeometry(d=1, n_max=4)
         p = make_params(geo, beta=0.7, gamma=1.0)
-        one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
+        one = from_modes(geo, {0: math.sqrt(TWO_PI)})
         expected = 2.0 * 0.7 * (1 + 0.7) * math.exp(0.7)
         assert gauge_value(one, p) == pytest.approx(expected, rel=1e-13)
 
@@ -101,6 +100,15 @@ class TestGaugeValue:
         closed = gauge_value(u, p)
         series = gauge_value_series(u, p, terms=50)
         assert abs(closed - series) < 1e-12 * max(1.0, abs(closed))
+
+    def test_batch_matches_rows(self):
+        # one call over a stack of boxes gives each row's value bit for bit
+        geo = TorusGeometry(d=1, n_max=16)
+        p = make_params(geo, beta=0.3)
+        rows = np.stack([smooth_field(geo, bandwidth=4, scale=0.5, seed=s) for s in range(3)])
+        batched = gauge_value(rows, p)
+        assert batched.shape == (3,)
+        assert batched.tolist() == [gauge_value(a, p) for a in rows]
 
 
 class TestCumulativeSimpson:
@@ -134,12 +142,12 @@ class TestApplyGauge:
         p, traj = self.setup_traj()
         back = apply_gauge(apply_gauge(traj, p, "forward"), p, "inverse")
         for a, b in zip(back.snapshots, traj.snapshots):
-            assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-10
+            assert np.max(np.abs(a - b)) < 1e-10
 
     def test_initial_snapshot_unchanged(self):
         p, traj = self.setup_traj()
         g = apply_gauge(traj, p, "forward")
-        assert np.array_equal(g.snapshots[0].coeffs, traj.snapshots[0].coeffs)
+        assert np.array_equal(g.snapshots[0], traj.snapshots[0])
 
     def test_modulus_unchanged(self):
         p, traj = self.setup_traj()
@@ -147,8 +155,8 @@ class TestApplyGauge:
         for a, b in zip(g.snapshots, traj.snapshots):
             assert np.max(
                 np.abs(
-                    np.abs(to_grid_array(a.geometry, a.coeffs))
-                    - np.abs(to_grid_array(b.geometry, b.coeffs))
+                    np.abs(to_grid_array(p.geometry, a))
+                    - np.abs(to_grid_array(p.geometry, b))
                 )
             ) < 1e-12
 
@@ -156,13 +164,13 @@ class TestApplyGauge:
         # u(t) constant in modulus: accumulated phase = G(u) * t
         geo = TorusGeometry(d=1, n_max=8)
         p = make_params(geo, beta=0.4, gamma=1.0)
-        one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
+        one = from_modes(geo, {0: math.sqrt(TWO_PI)})
         cfg = FlowConfig(params=p, dt=1e-3, t_final=0.3, dispersion_symbol="pure")
         traj = evolve(one, cfg, "collocation")
         g = apply_gauge(traj, p, "forward")
         rate = 2.0 * 0.4 * (1 + 0.4) * math.exp(0.4)
         for t, a, b in zip(traj.snapshot_times, g.snapshots, traj.snapshots):
-            phase = a.coeffs[geo.n_max] / b.coeffs[geo.n_max]
+            phase = a[geo.n_max] / b[geo.n_max]
             assert abs(phase - np.exp(1j * rate * t)) < 1e-8
 
 
@@ -247,7 +255,7 @@ class TestGaugedFlowEquivalence:
     def make_setup(self, gamma=1.0, beta=0.5):
         geo = TorusGeometry(d=1, n_max=24)
         p = make_params(geo, beta=beta, gamma=gamma)
-        u0 = SpectralField.from_modes(
+        u0 = from_modes(
             geo, {-1: 0.4 + 0.1j, 0: 0.5 - 0.2j, 2: 0.2 + 0.3j}
         )
         return p, u0
@@ -261,7 +269,7 @@ class TestGaugedFlowEquivalence:
     def test_constant_datum(self):
         geo = TorusGeometry(d=1, n_max=8)
         p = make_params(geo, beta=0.4, gamma=1.0)
-        u0 = SpectralField.from_modes(geo, {0: 1.0})
+        u0 = from_modes(geo, {0: 1.0})
         cfg = FlowConfig(params=p, dt=1e-3, t_final=0.3, dispersion_symbol="pure")
         rep = gauged_flow_equivalence(u0, cfg, 0.3)
         assert rep.sup_discrepancy < 1e-9

@@ -10,7 +10,6 @@ from gnls import (
     ExperimentConfig,
     ModelParams,
     RngStream,
-    SpectralField,
     TorusGeometry,
     invariance_test,
     observable_matrix,
@@ -24,10 +23,12 @@ from gnls.measures import sample_gaussian_coeffs, weighted_mean_stderr
 from gnls.spectral import TWO_PI
 from gnls.variational import ObjectiveReport
 
+from conftest import from_modes
+
 
 def observables_of(u, p):
     """The observable vector of one field, through the batched kernel."""
-    return {k: v[0] for k, v in observable_matrix(u.geometry, u.coeffs[None], p).items()}
+    return {k: v[0] for k, v in observable_matrix(p.geometry, u[None], p).items()}
 
 
 def small_invariance_setup(alpha=2.5, n_cut=4, beta_frac=0.1):
@@ -44,7 +45,7 @@ class TestObservables:
     def test_zero_field_vector(self):
         geo = TorusGeometry(d=1, n_max=4)
         p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.3, n_cut=4, geometry=geo)
-        obs = observables_of(SpectralField.zero(geo), p)
+        obs = observables_of(np.zeros(geo.box_shape, np.complex128), p)
         assert obs["mass"] == 0.0
         assert obs["hamiltonian"] == pytest.approx(1.3 * TWO_PI)
         assert obs["potential"] == pytest.approx(TWO_PI)
@@ -54,9 +55,9 @@ class TestObservables:
     def test_mode_power_phase_invariant(self):
         geo = TorusGeometry(d=1, n_max=4)
         p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=4, geometry=geo)
-        u = SpectralField.from_modes(geo, {1: 0.3 + 0.4j})
+        u = from_modes(geo, {1: 0.3 + 0.4j})
         a = observables_of(u, p)["mode_power_1"]
-        v = SpectralField(geo, u.coeffs * np.exp(0.9j))
+        v = u * np.exp(0.9j)
         b = observables_of(v, p)["mode_power_1"]
         assert a == pytest.approx(b)
 

@@ -7,7 +7,6 @@ from gnls import (
     ModelParams,
     NonIntegrableError,
     RngStream,
-    SpectralField,
     TorusGeometry,
     exp_moment_oracle,
     gibbs_ensemble,
@@ -15,7 +14,6 @@ from gnls import (
     kinetic_sum_array,
     mass_array,
     potential_array,
-    sample_gaussian,
     sample_gaussian_coeffs,
     sigma,
     to_grid_array,
@@ -24,7 +22,7 @@ from gnls import spectral
 from gnls.measures import weighted_mean_stderr
 from gnls.spectral import TWO_PI
 
-from conftest import traced_peak
+from conftest import from_modes, traced_peak
 
 
 def make_params(alpha=2.0, beta=0.5, gamma=1.0, n_cut=8, n_max=None, d=1):
@@ -35,20 +33,20 @@ def make_params(alpha=2.0, beta=0.5, gamma=1.0, n_cut=8, n_max=None, d=1):
 class TestSampling:
     def test_deterministic_replay(self):
         p = make_params()
-        u1 = sample_gaussian(p, RngStream(99, 3))
-        u2 = sample_gaussian(p, RngStream(99, 3))
-        assert np.array_equal(u1.coeffs, u2.coeffs)
+        u1 = sample_gaussian_coeffs(p, RngStream(99, 3).generator())
+        u2 = sample_gaussian_coeffs(p, RngStream(99, 3).generator())
+        assert np.array_equal(u1, u2)
 
     def test_streams_independent(self):
         p = make_params()
-        u1 = sample_gaussian(p, RngStream(99, 0))
-        u2 = sample_gaussian(p, RngStream(99, 1))
-        assert not np.allclose(u1.coeffs, u2.coeffs)
+        u1 = sample_gaussian_coeffs(p, RngStream(99, 0).generator())
+        u2 = sample_gaussian_coeffs(p, RngStream(99, 1).generator())
+        assert not np.allclose(u1, u2)
 
     def test_requires_supercritical_alpha(self):
         p = make_params(alpha=1.0)
         with pytest.raises(ValueError):
-            sample_gaussian(p, RngStream(0))
+            sample_gaussian_coeffs(p, RngStream(0).generator())
 
     def test_mean_l2_mass_low_cutoff(self):
         # E ||Pi_1 u||^2 = 1 + 1/2 + 1/2 = 2 for alpha = 2
@@ -68,78 +66,78 @@ class TestSampling:
 
     def test_modes_beyond_cutoff_unpopulated(self):
         p = make_params(n_cut=3, n_max=8)
-        u = sample_gaussian(p, RngStream(1))
-        assert np.all(u.coeffs[np.abs(p.geometry.modes) > 3] == 0)
+        u = sample_gaussian_coeffs(p, RngStream(1).generator())
+        assert np.all(u[np.abs(p.geometry.modes) > 3] == 0)
 
 
 class TestObservables:
     def test_potential_of_zero(self):
         geo = TorusGeometry(d=1, n_max=4)
-        zero = SpectralField.zero(geo)
-        assert potential_array(geo, zero.coeffs, 1.0) == pytest.approx(TWO_PI)
+        zero = np.zeros(geo.box_shape, np.complex128)
+        assert potential_array(geo, zero, 1.0) == pytest.approx(TWO_PI)
 
     def test_potential_constant_one(self):
         geo = TorusGeometry(d=1, n_max=4)
-        one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
-        assert potential_array(geo, one.coeffs, 1.0) == pytest.approx(
+        one = from_modes(geo, {0: math.sqrt(TWO_PI)})
+        assert potential_array(geo, one, 1.0) == pytest.approx(
             TWO_PI * math.e, rel=1e-12
         )
 
     def test_potential_single_oscillation(self):
         # |phi_1|^2 = 1/(2pi) pointwise
         geo = TorusGeometry(d=1, n_max=4)
-        u = SpectralField.from_modes(geo, {1: 1.0})
+        u = from_modes(geo, {1: 1.0})
         for beta in (0.3, 1.0, 2.5):
             expected = TWO_PI * math.exp(beta / TWO_PI)
-            assert potential_array(geo, u.coeffs, beta) == pytest.approx(
+            assert potential_array(geo, u, beta) == pytest.approx(
                 expected, rel=1e-12
             )
 
     def test_potential_clip(self):
         geo = TorusGeometry(d=1, n_max=4)
-        one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
-        assert potential_array(geo, one.coeffs, 1.0, clip=7.0) == pytest.approx(7.0)
+        one = from_modes(geo, {0: math.sqrt(TWO_PI)})
+        assert potential_array(geo, one, 1.0, clip=7.0) == pytest.approx(7.0)
 
     def test_mass_values_and_scaling(self):
         geo = TorusGeometry(d=1, n_max=4)
-        one = SpectralField.from_modes(geo, {0: math.sqrt(TWO_PI)})
-        assert mass_array(geo, one.coeffs) == pytest.approx(math.pi)
-        u = SpectralField.from_modes(geo, {0: 1.0})
-        assert mass_array(geo, u.coeffs) == pytest.approx(0.5)
+        one = from_modes(geo, {0: math.sqrt(TWO_PI)})
+        assert mass_array(geo, one) == pytest.approx(math.pi)
+        u = from_modes(geo, {0: 1.0})
+        assert mass_array(geo, u) == pytest.approx(0.5)
         c = 1.7 - 0.3j
-        scaled = c * u.coeffs
+        scaled = c * u
         assert mass_array(geo, scaled) == pytest.approx(
-            abs(c) ** 2 * mass_array(geo, u.coeffs)
+            abs(c) ** 2 * mass_array(geo, u)
         )
 
     def test_hamiltonian_single_mode(self):
         p = make_params(alpha=2.0, beta=1.0, gamma=1.0, n_cut=4)
-        u = SpectralField.from_modes(p.geometry, {1: 1.0})
+        u = from_modes(p.geometry, {1: 1.0})
         expected = 1.0 + TWO_PI * math.exp(1.0 / TWO_PI)
         # the half-weight energy of the invariance observable
-        kin = kinetic_sum_array(p.geometry, u.coeffs, p.alpha)
-        h = 0.5 * kin + p.gamma * potential_array(p.geometry, u.coeffs, p.beta)
+        kin = kinetic_sum_array(p.geometry, u, p.alpha)
+        h = 0.5 * kin + p.gamma * potential_array(p.geometry, u, p.beta)
         assert h == pytest.approx(expected, rel=1e-12)
 
     def test_kinetic_sum_full_weight(self):
         # w_n = <n>^2 = 1 + n^2 (bracket) or |n|^2 (pure), no factor 1/2
         geo = TorusGeometry(d=1, n_max=4)
-        u = SpectralField.from_modes(geo, {1: 1.0, -2: 0.5j})
-        assert kinetic_sum_array(geo, u.coeffs, 2.0) == pytest.approx(2.0 + 5.0 * 0.25)
-        assert kinetic_sum_array(geo, u.coeffs, 2.0, "pure") == pytest.approx(1.0 + 4.0 * 0.25)
-        batch = np.stack([u.coeffs, 2.0 * u.coeffs])
+        u = from_modes(geo, {1: 1.0, -2: 0.5j})
+        assert kinetic_sum_array(geo, u, 2.0) == pytest.approx(2.0 + 5.0 * 0.25)
+        assert kinetic_sum_array(geo, u, 2.0, "pure") == pytest.approx(1.0 + 4.0 * 0.25)
+        batch = np.stack([u, 2.0 * u])
         assert np.allclose(kinetic_sum_array(geo, batch, 2.0), [3.25, 13.0])
 
     def test_gibbs_weight_bound_and_limits(self):
         p = make_params(beta=0.5, gamma=2.0)
-        u = sample_gaussian(p, RngStream(3))
-        w = gibbs_weight_array(p, u.coeffs)
+        u = sample_gaussian_coeffs(p, RngStream(3).generator())
+        w = gibbs_weight_array(p, u)
         assert 0 < w <= math.exp(-p.gamma * TWO_PI)
         p0 = make_params(beta=0.5, gamma=0.0)
-        assert gibbs_weight_array(p0, u.coeffs) == 1.0
-        z = SpectralField.zero(p.geometry)
+        assert gibbs_weight_array(p0, u) == 1.0
+        z = np.zeros(p.geometry.box_shape, np.complex128)
         p1 = make_params(beta=1.0, gamma=1.0)
-        assert gibbs_weight_array(p1, z.coeffs) == pytest.approx(math.exp(-TWO_PI), rel=1e-12)
+        assert gibbs_weight_array(p1, z) == pytest.approx(math.exp(-TWO_PI), rel=1e-12)
 
 
 def one_shot_potential(geo, coeffs, beta, clip=None):

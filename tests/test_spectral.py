@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -10,7 +11,6 @@ from hypothesis import strategies as st
 
 from gnls import (
     DivergentSeriesError,
-    SpectralField,
     TorusGeometry,
     from_grid_array,
     load_snapshot,
@@ -21,7 +21,7 @@ from gnls import (
 )
 from gnls.spectral import TWO_PI
 
-from conftest import direct_synthesis, random_field
+from conftest import direct_synthesis, from_modes, random_field
 
 GEN = np.random.default_rng(0)
 
@@ -74,14 +74,14 @@ class TestGeometry:
 class TestTransforms:
     def test_constant_mode_value(self):
         geo = TorusGeometry(d=1, n_max=4)
-        u = SpectralField.from_modes(geo, {0: 1.0})
-        g = to_grid_array(geo, u.coeffs)
+        u = from_modes(geo, {0: 1.0})
+        g = to_grid_array(geo, u)
         assert np.allclose(g, TWO_PI**-0.5)
 
     def test_first_mode_samples(self):
         geo = TorusGeometry(d=1, n_max=4)
-        u = SpectralField.from_modes(geo, {1: 1.0})
-        g = to_grid_array(geo, u.coeffs)
+        u = from_modes(geo, {1: 1.0})
+        g = to_grid_array(geo, u)
         expected = TWO_PI**-0.5 * np.exp(1j * geo.x)
         assert np.allclose(g, expected, atol=1e-13)
 
@@ -89,15 +89,15 @@ class TestTransforms:
     def test_round_trip(self, d, n_max):
         geo = TorusGeometry(d=d, n_max=n_max)
         u = random_field(geo, GEN)
-        v = from_grid_array(geo, to_grid_array(geo, u.coeffs))
-        assert np.max(np.abs(v - u.coeffs)) < 1e-12 * np.max(np.abs(u.coeffs))
+        v = from_grid_array(geo, to_grid_array(geo, u))
+        assert np.max(np.abs(v - u)) < 1e-12 * np.max(np.abs(u))
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_parseval(self, d):
         geo = TorusGeometry(d=d, n_max=5)
         u = random_field(geo, GEN)
-        quad = geo.quad_weight() * np.sum(np.abs(to_grid_array(geo, u.coeffs)) ** 2)
-        exact = np.sum(np.abs(u.coeffs) ** 2)
+        quad = geo.quad_weight() * np.sum(np.abs(to_grid_array(geo, u)) ** 2)
+        exact = np.sum(np.abs(u) ** 2)
         assert quad == pytest.approx(exact, rel=1e-10)
 
     @settings(max_examples=60, deadline=None)
@@ -250,14 +250,14 @@ class TestProjectors:
     def test_projector_zero_keeps_mean(self):
         geo = TorusGeometry(d=1, n_max=5)
         u = random_field(geo, GEN)
-        p = u.coeffs * geo.euclid_mask(0)
+        p = u * geo.euclid_mask(0)
         assert np.count_nonzero(p) == 1
-        assert p[geo.n_max] == u.coeffs[geo.n_max]
+        assert p[geo.n_max] == u[geo.n_max]
 
     def test_idempotent(self):
         geo = TorusGeometry(d=2, n_max=4)
         u = random_field(geo, GEN)
-        once = u.coeffs * geo.euclid_mask(2.5)
+        once = u * geo.euclid_mask(2.5)
         twice = once * geo.euclid_mask(2.5)
         assert np.array_equal(once, twice)
 
@@ -265,15 +265,15 @@ class TestProjectors:
         geo = TorusGeometry(d=1, n_max=8)
         mask = geo.euclid_mask(3)
         for _ in range(5):
-            u, v = random_field(geo, GEN).coeffs, random_field(geo, GEN).coeffs
+            u, v = random_field(geo, GEN), random_field(geo, GEN)
             lhs = np.vdot(u * mask, v)
             rhs = np.vdot(u, v * mask)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_euclidean_ball_d2(self):
         geo = TorusGeometry(d=2, n_max=3)
-        u = SpectralField.from_modes(geo, {(1, 1): 1.0, (1, 0): 1.0})
-        p = u.coeffs * geo.euclid_mask(1)
+        u = from_modes(geo, {(1, 1): 1.0, (1, 0): 1.0})
+        p = u * geo.euclid_mask(1)
         # |(1,1)| = sqrt(2) > 1 removed, |(1,0)| = 1 kept
         assert p[geo.n_max + 1, geo.n_max + 1] == 0
         assert p[geo.n_max + 1, geo.n_max] == 1.0
@@ -282,19 +282,19 @@ class TestProjectors:
 class TestNorms:
     def test_mean_mode_only(self):
         geo = TorusGeometry(d=1, n_max=3)
-        u = SpectralField.from_modes(geo, {0: 1.0})
+        u = from_modes(geo, {0: 1.0})
         for s in (-1.0, 0.0, 0.5, 2.0):
-            assert sobolev_norm_array(geo, u.coeffs, s) == pytest.approx(1.0)
+            assert sobolev_norm_array(geo, u, s) == pytest.approx(1.0)
 
     def test_first_mode_h1(self):
         geo = TorusGeometry(d=1, n_max=3)
-        u = SpectralField.from_modes(geo, {1: 1.0})
-        assert sobolev_norm_array(geo, u.coeffs, 1.0) == pytest.approx(math.sqrt(2.0))
+        u = from_modes(geo, {1: 1.0})
+        assert sobolev_norm_array(geo, u, 1.0) == pytest.approx(math.sqrt(2.0))
 
     def test_s_zero_is_l2(self):
         geo = TorusGeometry(d=1, n_max=8)
         u = random_field(geo, GEN)
-        assert sobolev_norm_array(geo, u.coeffs, 0.0) == pytest.approx(np.linalg.norm(u.coeffs))
+        assert sobolev_norm_array(geo, u, 0.0) == pytest.approx(np.linalg.norm(u))
 
 
 class TestSigma:
@@ -361,8 +361,8 @@ class TestSnapshots:
         path = tmp_path / "field.gnls"
         save_snapshot(u, path)
         v = load_snapshot(path)
-        assert v.geometry.d == 1 and v.geometry.n_max == 5
-        assert np.array_equal(v.coeffs, u.coeffs)
+        assert v.shape == (11,) and v.dtype == np.complex128
+        assert np.array_equal(v, u)
 
     def test_round_trip_d2(self, tmp_path):
         geo = TorusGeometry(d=2, n_max=3)
@@ -370,11 +370,10 @@ class TestSnapshots:
         path = tmp_path / "field2.gnls"
         save_snapshot(u, path)
         v = load_snapshot(path)
-        assert np.array_equal(v.coeffs, u.coeffs)
+        assert np.array_equal(v, u)
 
     def test_wire_format(self, tmp_path):
-        geo = TorusGeometry(d=1, n_max=1)
-        u = SpectralField(geo, np.array([1 + 2j, 3 + 4j, 5 + 6j]))
+        u = np.array([1 + 2j, 3 + 4j, 5 + 6j])
         path = tmp_path / "field.gnls"
         save_snapshot(u, path)
         raw = path.read_bytes()
@@ -388,6 +387,20 @@ class TestSnapshots:
         path.write_bytes(b"XXXX" + b"\0" * 32)
         with pytest.raises(ValueError):
             load_snapshot(path)
+
+    def test_bad_dimension(self, tmp_path):
+        # a d = 3 header at n_max = 0, with the one coefficient such a box holds
+        path = tmp_path / "cube.gnls"
+        path.write_bytes(b"GNLS" + struct.pack("<III", 1, 3, 0) + b"\0" * 16)
+        with pytest.raises(ValueError, match="dimension must be 1 or 2, got 3"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 5), (2, 2), (3, 3, 3)])
+    def test_save_refuses_non_box(self, tmp_path, shape):
+        path = tmp_path / "field.gnls"
+        with pytest.raises(ValueError, match="box of odd side"):
+            save_snapshot(np.zeros(shape, np.complex128), path)
+        assert not path.exists()
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(
@@ -403,13 +416,13 @@ class TestSnapshots:
         geo = TorusGeometry(d=d, n_max=n_max)
         size = math.prod(geo.box_shape)
         flat = np.resize(np.asarray(parts, dtype=float), 2 * size)
-        u = SpectralField(geo, flat.view(np.complex128).reshape(geo.box_shape))
+        u = flat.view(np.complex128).reshape(geo.box_shape)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "field.gnls")
             save_snapshot(u, path)
             v = load_snapshot(path)
-            assert v.geometry == geo
-            assert v.coeffs.tobytes() == u.coeffs.tobytes()
+            assert v.shape == geo.box_shape and v.dtype == np.complex128
+            assert v.tobytes() == u.tobytes()
             with open(path, "rb") as fh:
                 raw = fh.read()
             assert len(raw) == 16 + 16 * size
