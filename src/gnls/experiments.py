@@ -75,7 +75,7 @@ def run_invariance(config: ExperimentConfig) -> RunResult:
     report = invariance_test(
         config.params,
         cfg,
-        config.t_horizon,
+        cfg.t_final,
         config.ensemble,
         rng,
         s_norms=config.observables.s_norms,
@@ -186,8 +186,8 @@ def run_truncation(config: ExperimentConfig) -> RunResult:
     gen = rng.generator()
     geo = config.params.geometry
     u0 = np.zeros(geo.box_shape, np.complex128)
-    for n in range(-spec.u0_bandwidth, spec.u0_bandwidth + 1):
-        u0[geo.n_max + n] = (
+    for n in range(-spec.u0_bandwidth, spec.u0_bandwidth + 1):  # mode (n, 0, ..., 0)
+        u0[(geo.n_max + n, *(geo.n_max,) * (geo.d - 1))] = (
             gen.standard_normal() + 1j * gen.standard_normal()
         ) / (2.0 * (1 + abs(n)))
     cfg = config.flow_config()

@@ -65,7 +65,8 @@ def thread_count(requested: int | None = None) -> int:
 # `metadata["key"]`), its annotation is the JSON type the key takes, its
 # default is the only copy of that key's default; `metadata` may hold a lower
 # bound "min", a least list length "min_len" and an open interval "open" for
-# every entry.  `_parse` walks the fields, so a block's keys are its fields.
+# a set value or every entry of a list.  `_parse` walks the fields, so a
+# block's keys are its fields.
 
 
 class ConfigError(ValueError):
@@ -134,16 +135,25 @@ class TruncationBlock:
     u0_bandwidth: int = 3
 
 
+_POSITIVE = {"open": (0, math.inf)}
+
+
 @dataclass(frozen=True)
 class VariationalBlock:
-    # the divergence trend is fitted over two clips or more
-    l_ladder: tuple[float, ...] = field(default=(1e1, 1e2, 1e3, 1e4), metadata={"min_len": 2})
-    k_mass: float = 1.0
+    # the divergence trend is fitted over two clips or more; a clip or mass
+    # bound of 0 or less leaves no sample to test, and the bump amplitude
+    # eta must be positive too (VariationalConfig's rule, checked here
+    # before any output)
+    l_ladder: tuple[float, ...] = field(
+        default=(1e1, 1e2, 1e3, 1e4), metadata={"min_len": 2, **_POSITIVE}
+    )
+    k_mass: float = field(default=1.0, metadata=_POSITIVE)
     gamma_sign: float | None = None  # None: the sign of params.gamma, -1 at 0
     n_ladder: tuple[int, ...] | None = field(default=None, metadata={"min_len": 1})  # None: no scan
-    eta: float = 4.0
+    eta: float = field(default=4.0, metadata=_POSITIVE)
     dt_sde: float | None = None  # None: the OU stability rule
-    l_clip: float | None = None  # None: 100 exp(0.45 |beta| eta^2 N) per rung
+    # None: 100 exp(0.45 |beta| eta^2 N) per rung
+    l_clip: float | None = field(default=None, metadata=_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -227,8 +237,11 @@ def _parse(cls, raw, where: str):
             if least is not None and value is not None and len(value) < least:
                 raise ConfigError(f"{prefix}{key} needs at least {least} entries, got {raw[key]}")
             bounds = f.metadata.get("open")
-            if bounds is not None and not all(bounds[0] < v < bounds[1] for v in value):
-                raise ConfigError(f"{prefix}{key} entries must lie in {bounds}, got {raw[key]}")
+            entries = value if isinstance(value, tuple) else (value,)
+            if bounds is not None and value is not None and not all(
+                bounds[0] < v < bounds[1] for v in entries
+            ):
+                raise ConfigError(f"{prefix}{key} must lie in {bounds}, got {raw[key]}")
         elif f.default is MISSING:
             raise ConfigError(f"missing required key {prefix}{key}")
     try:

@@ -47,8 +47,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta as _beta_fn
-from scipy.special import betainc as _betainc
+from scipy.special import kv as _kv
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_OVERSAMPLING = 4.0
@@ -285,57 +284,34 @@ def dispersion_weights(
 # ---------------------------------------------------------------------------
 
 _DIRECT_CAP_1D = 10**6
-_EM_CUTOFF = 10**5
 
 
-def _tail_integral_1d(alpha: float, k: float, c: float = 1.0) -> float:
-    """int_k^inf (c + x^2)^(-alpha/2) dx, exact via the incomplete Beta function."""
-    a = (alpha - 1.0) / 2.0
-    t = k / math.sqrt(c)
-    x = 1.0 / (1.0 + t * t)
-    return c ** ((1.0 - alpha) / 2.0) * 0.5 * _betainc(a, 0.5, x) * _beta_fn(a, 0.5)
+def _lattice_sum(alpha: float, d: int) -> float:
+    """sum_{n in Z^d} <n>^(-alpha) for alpha > d by Poisson summation: with
+    s = alpha/2 and nu = s - d/2,
 
+        pi^(d/2) Gamma(nu)/Gamma(s) + (2 pi^s/Gamma(s)) sum_{k != 0} |k|^nu K_nu(2 pi |k|).
 
-def _half_line_sum(alpha: float, c: float, k_direct: int = _EM_CUTOFF) -> float:
-    """sum_{n>=1} (c + n^2)^(-alpha/2) with Euler-Maclaurin tail, alpha > 1."""
-    n = np.arange(1, k_direct + 1, dtype=float)
-    direct = float(np.sum((c + n * n) ** (-alpha / 2.0)))
-    fk = (c + k_direct**2) ** (-alpha / 2.0)
-    dfk = -alpha * k_direct * (c + k_direct**2) ** (-alpha / 2.0 - 1.0)
-    tail = _tail_integral_1d(alpha, k_direct, c) - 0.5 * fk - dfk / 12.0
-    return direct + tail
-
-
-def _lattice_sum_infinite(alpha: float, d: int) -> float:
-    """sum_{n in Z^d} <n>^(-alpha); requires alpha > d."""
-    if d == 1:
-        return 1.0 + 2.0 * _half_line_sum(alpha, 1.0)
-    # d = 2: sum over rows m of S(1+m^2) with S(c) = sum_k (c+k^2)^(-alpha/2).
-    # For sqrt(c) >= 8 the row sum equals its integral A_alpha * c^((1-alpha)/2)
-    # to well below 1e-16 relative (Poisson summation, corrections e^{-2 pi sqrt(c)}).
-    m0 = 8
-    total = 0.0
-    for m in range(-m0, m0 + 1):
-        c = 1.0 + m * m
-        total += c ** (-alpha / 2.0) + 2.0 * _half_line_sum(alpha, c)
-    a_alpha = _beta_fn((alpha - 1.0) / 2.0, 0.5)
-    # outer tail: 2 * A_alpha * sum_{m > m0} (1+m^2)^((1-alpha)/2)
-    beta_out = alpha - 1.0  # effective 1d exponent, > 1 since alpha > 2
-    k = np.arange(m0 + 1, _EM_CUTOFF + 1, dtype=float)
-    outer_direct = float(np.sum((1.0 + k * k) ** (-beta_out / 2.0)))
-    fk = (1.0 + _EM_CUTOFF**2) ** (-beta_out / 2.0)
-    dfk = -beta_out * _EM_CUTOFF * (1.0 + _EM_CUTOFF**2) ** (-beta_out / 2.0 - 1.0)
-    outer_tail = _tail_integral_1d(beta_out, _EM_CUTOFF) - 0.5 * fk - dfk / 12.0
-    total += 2.0 * a_alpha * (outer_direct + outer_tail)
-    return total
+    Every term is positive.  |k|^nu K_nu(2 pi |k|) falls off like
+    e^{-pi^2 |k|^2/nu} while 2 pi |k| << nu and like e^{-2 pi |k|} beyond, so
+    the box |k|_inf <= 6 + 2 sqrt(nu) leaves out less than 1e-16 of the sum.
+    """
+    s, nu = alpha / 2.0, (alpha - d) / 2.0
+    radius = math.ceil(6.0 + 2.0 * math.sqrt(nu))
+    k2 = np.arange(-radius, radius + 1.0) ** 2
+    k = np.sqrt(functools.reduce(np.add.outer, [k2] * d).ravel())
+    k = k[k > 0]
+    series = float(np.sum(k**nu * _kv(nu, TWO_PI * k)))
+    return (math.pi ** (d / 2) * math.gamma(nu) + 2.0 * math.pi**s * series) / math.gamma(s)
 
 
 def sigma(alpha: float, n_cut: float, d: int) -> float:
     """Pointwise variance (2pi)^(-d) * sum_{|n| <= n_cut} <n>^(-alpha).
 
     n_cut may be math.inf, in which case alpha > d is required and the series
-    is summed to relative accuracy 1e-10 (direct part plus Euler-Maclaurin
-    tail for d=1; nested row sums plus Poisson asymptotics for d=2).
+    is the Poisson-summation identity of `_lattice_sum`, exact up to rounding:
+    a few units in the last place for alpha up to 40 and within 5e-14
+    relative up to 343, past which Gamma(alpha/2) overflows (OverflowError).
     """
     if d not in (1, 2):
         raise ValueError("dimension must be 1 or 2")
@@ -344,7 +320,7 @@ def sigma(alpha: float, n_cut: float, d: int) -> float:
             raise DivergentSeriesError(
                 f"sum of <n>^(-alpha) over Z^{d} diverges for alpha={alpha} <= d={d}"
             )
-        return _lattice_sum_infinite(alpha, d) / TWO_PI**d
+        return _lattice_sum(alpha, d) / TWO_PI**d
     if n_cut < 0:
         raise ValueError("cutoff must be nonnegative")
     n_cut = float(n_cut)

@@ -38,12 +38,17 @@ def from_modes(geometry, entries):
     return coeffs
 
 
-def direct_synthesis(geometry):
-    """The matrix of u(x_j) = (2pi)^(-d/2) sum_n a_n e^{i n.x_j}, points by modes."""
-    d = geometry.d
-    points = np.stack(np.meshgrid(*[geometry.x] * d, indexing="ij"), -1).reshape(-1, d)
-    modes = np.stack(np.meshgrid(*[geometry.modes] * d, indexing="ij"), -1).reshape(-1, d)
-    return np.exp(1j * points @ modes.T) / TWO_PI ** (d / 2)
+def direct_synthesis(geometry, values, adjoint=False):
+    """The direct sum u(x_j) = (2pi)^(-d/2) sum_n a_n e^{i n.x_j} of a box
+    array, or with `adjoint` its conjugate transpose (2pi)^(-d/2) sum_j
+    u_j e^{-i n.x_j} of a grid array, over the trailing torus axes: one 1d
+    points-by-modes matrix e^{i n x_j}/sqrt(2pi) per axis."""
+    matrix = np.exp(1j * np.outer(geometry.x, geometry.modes)) / np.sqrt(TWO_PI)
+    if adjoint:
+        matrix = matrix.conj().T
+    for axis in geometry.axes:
+        values = np.moveaxis(np.tensordot(values, matrix, ([axis], [1])), -1, axis)
+    return values
 
 
 def smooth_field(geometry, bandwidth=3, scale=0.1, seed=7):

@@ -270,6 +270,17 @@ class TestCli:
             ),
             # snapshots every 0 steps
             ("evolve", {"flow": {"t_final": 0.05, "store_every": 0}}, "flow.store_every"),
+            # a mass bound, clip or bump amplitude of 0 or less: no sample
+            # passes a negative bound, so the scan would say "saturated"
+            ("variational", {"variational": {"k_mass": -1.0}}, "variational.k_mass"),
+            ("variational", {"variational": {"k_mass": 0.0}}, "variational.k_mass"),
+            ("variational", {"variational": {"eta": 0.0}}, "variational.eta"),
+            (
+                "variational",
+                {"variational": {"l_clip": -5.0, "n_ladder": [4]}},
+                "variational.l_clip",
+            ),
+            ("variational", {"variational": {"l_ladder": [10.0, 0.0]}}, "variational.l_ladder"),
         ],
     )
     def test_rejected_config_exits_one_before_output(

@@ -338,6 +338,22 @@ class TestConfig:
         expected = 0 if (payload["passed"] and payload["control_failed"]) else 2
         assert res.exit_code == expected
 
+    def test_run_invariance_flows_to_flow_t_final(self, tmp_path):
+        # flow.t_final is the horizon when set; unset, it is t_horizon
+        reports = []
+        for t_final in (0.02, 0.5):
+            raw = {
+                "experiment": "invariance",
+                "seed": 3,
+                "out": str(tmp_path / str(t_final)),
+                "ensemble": 64,
+                "params": {"alpha": 2.5, "beta": 0.2667, "gamma": 1.0, "n_cut": 4},
+                "flow": {"dt": 0.01, "t_final": t_final},
+            }
+            run(ExperimentConfig.from_dict(raw))
+            reports.append((tmp_path / str(t_final) / "invariance.json").read_bytes())
+        assert reports[0] != reports[1]
+
     def test_run_truncation(self, tmp_path):
         raw = {
             "experiment": "truncation",
@@ -350,3 +366,25 @@ class TestConfig:
         res = run(ExperimentConfig.from_dict(raw))
         assert res.exit_code == 0
         assert res.payload["monotone"] in (True, False)
+
+    def test_run_truncation_d2_datum_is_band_limited_on_axis_0(self, tmp_path, monkeypatch):
+        data = []
+
+        def capture(u0, cfg, n_ladder, n_ref, s):
+            data.append(u0)
+            raise RuntimeError("captured")
+
+        monkeypatch.setattr(experiments, "truncation_convergence", capture)
+        raw = {
+            "experiment": "truncation",
+            "seed": 6,
+            "out": str(tmp_path),
+            "params": {"d": 2, "alpha": 2.5, "beta": 0.1, "gamma": 1.0, "n_cut": 8},
+            "truncation": {"n_ladder": [2, 4], "n_ref": 8, "u0_bandwidth": 1},
+        }
+        with pytest.raises(RuntimeError, match="captured"):
+            run(ExperimentConfig.from_dict(raw))
+        (u0,) = data
+        # 2 u0_bandwidth + 1 modes, all (n, 0): box index minus n_max = 8
+        nonzero = np.argwhere(u0 != 0) - 8
+        assert sorted(map(tuple, nonzero)) == [(-1, 0), (0, 0), (1, 0)]

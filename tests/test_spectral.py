@@ -127,9 +127,8 @@ class TestTransforms:
         values = to_grid_array(geo, a)
         assert values.shape == (*batch, *geo.grid_shape)
         # the direct sum (2pi)^(-d/2) sum_n a_n e^{i n.x} at every grid point
-        direct = a.reshape(*batch, -1) @ direct_synthesis(geo).T
-        got = values.reshape(*batch, -1)
-        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+        direct = direct_synthesis(geo, a)
+        assert np.max(np.abs(values - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the round trip and Parseval, row by row
         kept = values.copy()
         back = from_grid_array(geo, values)
@@ -149,8 +148,8 @@ class TestTransforms:
             fft = np.fft.fftn(values / geo.ramp, axes=geo.axes)
             rows = (..., slice(2 * n_max + 1), *[slice(None)] * (d - 1))
             assert np.max(np.abs(grid[rows] - fft[rows])) <= 1e-12 * np.max(np.abs(fft))
-        quad = geo.quad_weight() * np.sum(np.abs(got) ** 2, axis=-1)
-        exact = np.sum(np.abs(a.reshape(*batch, -1)) ** 2, axis=-1)
+        quad = geo.quad_weight() * np.sum(np.abs(values) ** 2, axis=geo.axes)
+        exact = np.sum(np.abs(a) ** 2, axis=geo.axes)
         assert np.allclose(quad, exact, rtol=1e-12, atol=0)
 
 
@@ -171,9 +170,8 @@ class TestTransforms:
         shifted = to_grid_array(geo, a, shifted=True)
         assert shifted.shape == (*batch, *geo.grid_shape)
         # the ramp takes the shifted frame to the direct sum u(x_j)
-        direct = a.reshape(*batch, -1) @ direct_synthesis(geo).T
-        got = (shifted * geo.ramp).reshape(*batch, -1)
-        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
+        direct = direct_synthesis(geo, a)
+        assert np.max(np.abs(shifted * geo.ramp - direct)) <= 1e-12 * np.max(np.abs(direct))
         # the shifted round trip, and the two frames' analyses agree
         back = from_grid_array(geo, shifted, shifted=True)
         assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
@@ -303,7 +301,24 @@ class TestSigma:
 
     def test_infinite_sum_coth(self):
         expected = 1.0 / (2.0 * math.tanh(math.pi))
-        assert sigma(2.0, math.inf, 1) == pytest.approx(expected, rel=1e-10)
+        assert sigma(2.0, math.inf, 1) == pytest.approx(expected, rel=1e-14)
+
+    def test_infinite_sum_alpha_4(self):
+        # sum_n (1+n^2)^(-2) = (pi/2) coth pi + (pi^2/2) csch^2 pi
+        expected = 0.5 * math.pi / math.tanh(math.pi) + 0.5 * (math.pi / math.sinh(math.pi)) ** 2
+        assert sigma(4.0, math.inf, 1) * TWO_PI == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.0])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_infinite_minus_partial_below_integral_tail(self, alpha, n):
+        # 2 sum_{m > n} <m>^(-alpha) < 2 int_n^inf x^(-alpha) dx
+        gap = sigma(alpha, math.inf, 1) - sigma(alpha, n, 1)
+        assert 0 < gap <= 2 * n ** (1 - alpha) / ((alpha - 1) * TWO_PI)
+
+    def test_gamma_overflow_raises(self):
+        # Gamma(alpha/2) overflows past alpha = 343
+        with pytest.raises(OverflowError):
+            sigma(400.0, math.inf, 1)
 
     def test_divergence_signalled(self):
         with pytest.raises(DivergentSeriesError):
