@@ -32,7 +32,12 @@ The macro step composes an exact linear phase with a nonlinear substep:
   fixed, so the output still does not depend on the thread count.
 
 Strang composition linear(dt/2) o nonlinear(dt) o linear(dt/2) is second
-order; the Lie variant is provided for order checks.
+order; the Lie variant is provided for order checks.  Both modes commute with
+conjugation reversing time, conj o Phi_h o conj = Phi_{-h}, with a constant
+phase and with grid translations, to rounding.  Galerkin mode is reversible,
+Phi_T o conj o Phi_T o conj = id, up to RK4's order-4 defect; collocation mode
+is not (1.4e-6 at dt 0.01, T 0.2, beta 0.3), because its substep truncates
+the rotated grid values back to the box.
 """
 
 from __future__ import annotations
