@@ -6,24 +6,37 @@ alone).  Three d = 2 cases (sample, collocation evolve on a 36-point grid,
 invariance) guard the two-dimensional transforms and mode indexing.
 
 The SHA-256 of each artifact and the exit code live in
-`tests/golden/hashes.json`; `python tests/golden/make_hashes.py [case ...]`
-rewrites the named entries of that file (all of them when none is named).
-A failing case names each moved artifact in the format that script prints.
-A change that moves an artifact on purpose regenerates it and names the
-moved artifacts and the reason in CHANGES.md.
+`tests/golden/hashes.json`, beside the environment that generated them, and
+the artifacts themselves under `tests/golden/artifacts/<case>/`.
+`python tests/golden/make_hashes.py [case ...]` rewrites the named entries of
+both (all of them when none is named).  Byte identity is the pass rule.  A
+failing case names each moved artifact, with the largest relative change of
+any number in it, in the format that script prints, and shows both
+environments: the dense d = 1 bits depend on the kernel OpenBLAS picks at run
+time and every case on numpy's SIMD dispatch, so another CPU can move an
+artifact at rounding level with no defect.  A change that moves an artifact
+on purpose regenerates it and names the moved artifacts, their changes and
+the reason in CHANGES.md.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
+import scipy
 
 from gnls.cli import main
+from gnls.spectral import load_snapshot
 
-HASHES = os.path.join(os.path.dirname(__file__), "golden", "hashes.json")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+HASHES = os.path.join(GOLDEN, "hashes.json")
+ARTIFACTS = os.path.join(GOLDEN, "artifacts")
 
 _LOW = {"d": 1, "alpha": 2.0, "beta": 0.3, "gamma": 1.0, "n_cut": 4}
 _SAMPLE = {"experiment": "sample", "seed": 7, "ensemble": 40, "params": _LOW}
@@ -136,11 +149,71 @@ def run_subcommand(name: str, workdir: str) -> dict:
     return {"exit_code": code, "artifacts": dict(sorted(artifacts.items()))}
 
 
-def moved_artifacts(name: str, before: dict, after: dict) -> list:
+def environment() -> dict:
+    """What the artifacts' bits depend on besides the code: the versions, the
+    BLAS and the SIMD targets numpy dispatches to on this CPU."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "machine": platform.machine(),
+        "blas": f"{blas['name']} {blas['version']}",
+        "simd": [t for t in __cpu_dispatch__ if __cpu_features__.get(t)],
+    }
+
+
+def _json_numbers(value):
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _json_numbers(value[key])
+    elif isinstance(value, list):
+        for item in value:
+            yield from _json_numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield float(value)
+
+
+def artifact_numbers(path: str) -> np.ndarray:
+    """The numbers of an artifact in file order: a snapshot's float64 parts
+    (read by `load_snapshot`), the cells of a CSV that parse as floats, the
+    numbers of a JSON document in key order."""
+    if path.endswith(".gnls"):
+        return load_snapshot(path).view(np.float64).ravel()
+    with open(path, newline="") as fh:
+        if path.endswith(".json"):
+            return np.array(list(_json_numbers(json.load(fh))))
+        numbers = []
+        for cell in (cell for row in csv.reader(fh) for cell in row):
+            try:
+                numbers.append(float(cell))
+            except ValueError:
+                pass
+        return np.array(numbers)
+
+
+def largest_change(old_path: str, new_path: str) -> str:
+    """The largest relative change |new - old| / max(|old|, |new|) over the
+    numbers of two versions of an artifact (0 where both are equal, NaNs
+    included; inf where only one is NaN), as text."""
+    old, new = artifact_numbers(old_path), artifact_numbers(new_path)
+    if old.shape != new.shape:
+        return f"{old.size} → {new.size} numbers"
+    with np.errstate(invalid="ignore", divide="ignore"):
+        change = np.abs(new - old) / np.maximum(np.abs(old), np.abs(new))
+    change[(old == new) | (np.isnan(old) & np.isnan(new))] = 0.0
+    return f"largest relative change {np.nan_to_num(change, nan=np.inf).max(initial=0.0):.2g}"
+
+
+def moved_artifacts(name: str, before: dict, after: dict, out: str | None = None) -> list:
     """One line per difference between two `run_subcommand` results of case
     `name`: a moved exit code, then `case/artifact: old[:12] → new[:12]` for
-    each artifact whose hash moved ("-" for an artifact that is new or gone).
-    Empty exactly when the results are equal."""
+    each artifact whose hash moved ("-" for an artifact that is new or gone),
+    followed, when `out` holds the new artifacts and the committed one
+    exists, by their `largest_change`.  Empty exactly when the results are
+    equal."""
     lines = []
     if before["exit_code"] != after["exit_code"]:
         lines.append(f"{name}: exit code {before['exit_code']} → {after['exit_code']}")
@@ -148,7 +221,11 @@ def moved_artifacts(name: str, before: dict, after: dict) -> list:
         was = before["artifacts"].get(artifact, "-")
         now = after["artifacts"].get(artifact, "-")
         if was != now:
-            lines.append(f"{name}/{artifact}: {was[:12]} → {now[:12]}")
+            line = f"{name}/{artifact}: {was[:12]} → {now[:12]}"
+            old = os.path.join(ARTIFACTS, name, artifact)
+            if out is not None and "-" not in (was, now) and os.path.exists(old):
+                line += f" ({largest_change(old, os.path.join(out, artifact))})"
+            lines.append(line)
     return lines
 
 
@@ -156,8 +233,10 @@ def moved_artifacts(name: str, before: dict, after: dict) -> list:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_artifacts_match_golden_hashes(name, threads, tmp_path, monkeypatch):
     with open(HASHES) as fh:
-        expected = json.load(fh)[name]
+        golden = json.load(fh)
     monkeypatch.setenv("GNLS_THREADS", threads)
-    moved = moved_artifacts(name, expected, run_subcommand(name, str(tmp_path)))
+    got = run_subcommand(name, str(tmp_path))
+    moved = moved_artifacts(name, golden[name], got, os.path.join(tmp_path, "out"))
     if moved:
+        moved += [f"generated on {golden['environment']}", f"running on {environment()}"]
         pytest.fail("\n".join(moved), pytrace=False)
