@@ -34,11 +34,13 @@ from gnls import (
     ou_gap_oracle,
     sigma,
     simulate_ou_gap,
+    stability_dt,
     truncation_convergence,
 )
 from gnls.gauge import decomposition_check
 from gnls.measures import sample_gaussian_coeffs, weighted_mean_stderr
 from gnls.spectral import TWO_PI
+from gnls.variational import ou_gap_variance
 
 from conftest import from_modes
 
@@ -255,9 +257,26 @@ def test_criterion_6_bump_scaling():
 # ---------------------------------------------------------------------------
 
 
+def euler_extrapolation_errors(p, oracle):
+    """Relative errors against `oracle` of the Richardson extrapolates
+    2 v(2K) - v(K) of the Euler chain's gap v(K) (its matrix-power moments,
+    which follow the SDE step by step with no closed form), at K = j K0 for
+    j = 8, 16 and 256, K0 = round(1 / stability_dt)."""
+    k0 = round(1.0 / stability_dt(p))
+    v = {j: ou_gap_variance(p, 1.0 / (j * k0), "euler").sum() / TWO_PI for j in (8, 16, 32, 256, 512)}
+    return [abs(2.0 * v[2 * j] - v[j] - oracle) / oracle for j in (8, 16, 256)]
+
+
 def test_criterion_7_ou_oracle():
+    # The exact sampler and the oracle share the closed form `_exact_gap`, so
+    # the z test alone checks only that the sampler is unbiased.  Each cell
+    # also checks the oracle against the Euler chain: the extrapolate at 256 K0
+    # is within 1e-7 (measured <= 4.6e-9), and it converges at second order,
+    # its error falling 4 +- 0.5 times from 8 K0 to 16 K0.  (Near 256 K0 the
+    # N = 4 cells reach the ~1e-11 floor that rounding 1 - h a_n sets, so the
+    # order is read where the truncation error is still 1e3 times that.)
     t0 = time.time()
-    zs = {}
+    zs, errs = {}, {}
     for alpha in (2.0, 2.5):
         for n_cut in (4, 16, 64):
             geo = TorusGeometry(d=1, n_max=2 * n_cut, oversampling=1.0)
@@ -268,11 +287,23 @@ def test_criterion_7_ou_oracle():
             oracle = ou_gap_oracle(p)
             se = vals.std(ddof=1) / 100.0
             zs[(alpha, n_cut)] = (vals.mean() - oracle) / se
+            errs[(alpha, n_cut)] = euler_extrapolation_errors(p, oracle)
     worst = max(abs(z) for z in zs.values())
+    worst_err = max(e[2] for e in errs.values())
+    orders = [e[0] / e[1] for e in errs.values()]
+    ok = worst <= 3.0 and worst_err <= 1e-7 and all(3.5 <= r <= 4.5 for r in orders)
     elapsed = time.time() - t0
     detail = ", ".join(f"({a},{n}): {z:+.2f}" for (a, n), z in zs.items())
-    announce(7, "OU oracle", worst <= 3.0, f"z = [{detail}], {elapsed:.0f}s")
+    announce(
+        7,
+        "OU oracle",
+        ok,
+        f"z = [{detail}], Euler extrapolation error {worst_err:.1e}, "
+        f"order ratios {min(orders):.3f}-{max(orders):.3f}, {elapsed:.0f}s",
+    )
     assert worst <= 3.0
+    assert worst_err <= 1e-7
+    assert all(3.5 <= r <= 4.5 for r in orders), orders
 
 
 def test_criterion_7_mechanism_euler_bias_documented():
