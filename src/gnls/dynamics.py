@@ -21,15 +21,16 @@ The macro step composes an exact linear phase with a nonlinear substep:
   quadrature potential are preserved exactly.
 * galerkin mode: the projector destroys pointwise modulus conservation, so
   the substep is integrated by a classical 4th-order one-step method; modes
-  above the cutoff are untouched.  On a dense d = 1 box (`TorusGeometry.dft`)
-  its right-hand side works on real planes: the complex grid buffer holds the
-  float64 planes Re v and Im v, made and analysed by float64 products in
-  `spectral._dense`'s stacked items.  The analysis products round a row
-  according to its position in its item, so there a row's bits may depend on
-  its position in the batch, in an ensemble on its position in its fixed
-  1024-row chunk.  (Planes stored item by item transposed keep the row bits,
-  but cost about 6% more right-hand-side time at N = 8.)  The chunks are
-  fixed, so the output still does not depend on the thread count.
+  above the cutoff are untouched.  On a dense d = 1 box the flow runs on
+  plane pairs (`spectral.fold_planes`): a batch is folded once on entry and
+  unfolded once on exit, and `evolve` unfolds its row where it records
+  diagnostics.  The one real basis B of `plane_basis` does every job: the
+  grid planes are one stacked product with B, the right-hand side one with
+  B^T and a symplectic turn, the linear phase a rotation of each column, and
+  the mask acts per column.  The products run in items of 2^18 // (K M) plane
+  rows (220 at N = 8), a lone row as two; the analysis rounds a row by its
+  position in its item, so in an ensemble a row's bits depend on its position
+  in its fixed 1024-row chunk, never on the thread count.
 
 Strang composition linear(dt/2) o nonlinear(dt) o linear(dt/2) is second
 order; the Lie variant is provided for order checks.  Both modes commute with
@@ -45,6 +46,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,11 +56,14 @@ from .spectral import (
     TorusGeometry,
     _block_rows,
     _dense,
+    _plane_view,
     dispersion_weights,
+    fold_planes,
     from_grid_array,
     save_snapshot,
     sobolev_norm_array,
     to_grid_array,
+    unfold_planes,
 )
 
 SYMBOLS = ("bracket", "pure")
@@ -125,12 +130,8 @@ def _collocation_work(geometry: TorusGeometry, shape: tuple) -> tuple:
 
 
 def collocation_phase_array(
-    geometry: TorusGeometry,
-    coeffs: np.ndarray,
-    t: float,
-    params: ModelParams,
-    gauge_shift: bool = False,
-    work: tuple | None = None,
+    geometry: TorusGeometry, coeffs: np.ndarray, t: float, params: ModelParams,
+    gauge_shift: bool = False, work: tuple | None = None,
 ) -> np.ndarray:
     """Exact nonlinear phase on the grid; with gauge_shift=True the spatially
     constant `gauge_frequency` is subtracted (the gauged equation's extra
@@ -150,52 +151,26 @@ def collocation_phase_array(
 
 def _galerkin_work(geometry: TorusGeometry, shape: tuple) -> tuple:
     """Work buffers of the Galerkin substep for states of `shape`: box, grid
-    and |u|^2 (on a dense box a pair of float64 grid planes) for
-    `galerkin_rhs_array`, then the four RK4 slopes and the stage."""
+    and |u|^2 for `galerkin_rhs_array`, then the four RK4 slopes and the stage."""
     grid = shape[: len(shape) - geometry.d] + geometry.grid_shape
-    planes = (2,) if geometry.dft is not None else ()
     box = [np.empty(shape, np.complex128) for _ in range(6)]
-    return (box[0], np.empty(grid, np.complex128), np.empty(planes + grid), *box[1:])
-
-
-@functools.lru_cache(maxsize=16)
-def _real_dft(geometry: TorusGeometry, beta: float, gamma: float) -> tuple:
-    """The real matrix pairs of the dense Galerkin stage, read-only.  The
-    synthesis pair (2K x M each) takes the float64 view of the coefficients,
-    (Re a_0, Im a_0, Re a_1, ..), to the real and the imaginary plane of
-    c v, v the shifted grid values and c = scale sqrt(beta), so that the
-    planes' squares sum to beta |u|^2.  The analysis pair (M x 2K each)
-    takes the same planes, once scaled by e^{beta |u|^2}, to two products
-    whose sum is the float64 view of the box coefficients of
-    -2i gamma beta e^{beta |u|^2} u."""
-    synthesis, analysis = geometry.dft
-    s = geometry.scale * math.sqrt(beta) * synthesis
-    g = -2j * gamma * math.sqrt(beta) / geometry.scale * analysis
-    k, m = s.shape
-    # rows 2k, 2k+1 of a synthesis matrix meet Re a_k, Im a_k; columns 2k,
-    # 2k+1 of an analysis matrix make Re, Im of the k-th coefficient
-    pairs = (
-        np.stack([[s.real, s.imag], [-s.imag, s.real]], 2).reshape(2, 2 * k, m),
-        np.stack([[g.real, -g.imag], [g.imag, g.real]], 3).reshape(2, m, 2 * k),
-    )
-    for pair in pairs:
-        pair.flags.writeable = False
-    return pairs
+    return (box[0], np.empty(grid, np.complex128), np.empty(grid), *box[1:])
 
 
 def galerkin_rhs_array(
     geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams, mask: np.ndarray | None,
     out: np.ndarray | None = None, work: tuple | None = None,
 ) -> np.ndarray:
-    """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u] (`mask` None: P_N = 1), on
-    the shifted grid, into `out` when given; the first three buffers of `work`
-    (from `_galerkin_work`) are overwritten.  A dense box (`TorusGeometry.dft`)
-    works in real arithmetic: the complex grid buffer holds the real and
-    imaginary planes of `_real_dft`'s synthesis, and its analysis writes the
-    float64 view of the result."""
+    """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u] (`mask` None: P_N = 1), into
+    `out` when given; the first three buffers of `work` (from `_galerkin_work`)
+    are overwritten.  On a box with `plane_basis` B, state and result are plane
+    pairs (`fold_planes`): one product (scale sqrt(beta) P_N X) B makes the
+    grid planes sqrt(beta) u, one of sqrt(beta) e^{beta |u|^2} u with B^T gives
+    G, and the result is the symplectic turn kappa P_N (G1, -G0), kappa =
+    2 gamma sqrt(beta) / (scale M).  Other boxes use the shifted grid."""
     box, grid, absq = (work or _galerkin_work(geometry, coeffs.shape))[:3]
-    coeffs = coeffs if mask is None else np.multiply(coeffs, mask, out=box)
-    if geometry.dft is None:
+    if geometry.plane_basis is None:
+        coeffs = coeffs if mask is None else np.multiply(coeffs, mask, out=box)
         values = to_grid_array(geometry, coeffs, out=grid, shifted=True)
         np.square(np.abs(values, out=absq), out=absq)
         np.exp(np.multiply(params.beta * geometry.scale**2, absq, out=absq), out=absq)
@@ -203,42 +178,45 @@ def galerkin_rhs_array(
         conv = from_grid_array(geometry, values, out=box, shifted=True)
         conv = conv if mask is None else np.multiply(conv, mask, out=conv)
         return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
-    synthesis, analysis = _real_dft(geometry, params.beta, params.gamma)
-    x = np.ascontiguousarray(coeffs, np.complex128).view(np.float64)
-    planes = grid.view(np.float64).reshape(2, *grid.shape)
-    for plane, matrix in zip(planes, synthesis):
-        _dense(x, matrix, plane)
-    absq, square = absq
-    np.add(np.square(planes[0], out=absq), np.square(planes[1], out=square), out=absq)
-    np.multiply(planes, np.exp(absq, out=absq), out=planes)
-    conv = np.empty(coeffs.shape, np.complex128) if out is None else out
-    dst = conv.view(np.float64)
-    _dense(planes[0], analysis[0], dst)
-    np.add(dst, _dense(planes[1], analysis[1], box.view(np.float64)), out=dst)
-    return conv if mask is None else np.multiply(conv, mask, out=conv)
+    (basis, transpose), root = geometry.plane_basis, math.sqrt(params.beta)
+    cut = 1.0 if mask is None else mask
+    x = np.multiply(_plane_view(coeffs), geometry.scale * root * cut, out=_plane_view(box))
+    planes = _dense(x, basis, _plane_view(grid))
+    np.einsum("i...,i...->...", planes, planes, out=absq)  # planes[0]**2 + planes[1]**2
+    g = _dense(np.multiply(planes, np.exp(absq, out=absq), out=planes), transpose, x)
+    kappa = 2.0 * params.gamma * root / (geometry.scale * geometry.m_grid) * cut
+    out = np.empty(coeffs.shape, np.complex128) if out is None else out
+    np.multiply(g[1], kappa, out=_plane_view(out)[0])
+    np.multiply(g[0], -kappa, out=_plane_view(out)[1])
+    return out
 
 
 def galerkin_substep_array(
     geometry: TorusGeometry, coeffs: np.ndarray, t: float, params: ModelParams,
     substeps: int, mask: np.ndarray | None, work: tuple | None = None,
 ) -> np.ndarray:
-    """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`.  The
-    stages run in the buffers `work` of `_galerkin_work`, which a call
-    overwrites; the result is always a fresh array."""
+    """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`, on its
+    states (plane pairs on a box with `plane_basis`).  The stages run in the
+    buffers `work` of `_galerkin_work`, which a call overwrites; the result is
+    always a fresh array."""
     work = work or _galerkin_work(geometry, coeffs.shape)
+    # plane pairs combine as float64: a complex product with a real factor
+    # would let a non-finite entry spoil its neighbour in memory, another row
+    real = (lambda z: z.view(np.float64)) if geometry.plane_basis is not None else (lambda z: z)
     k1, k2, k3, k4, stage = work[3:]
+    x1, x2, x3, x4, xs = map(real, work[3:])
     h = t / substeps
     a = coeffs
     for _ in range(substeps):
         galerkin_rhs_array(geometry, a, params, mask, k1, work)
-        for c, k, k_next in ((0.5 * h, k1, k2), (0.5 * h, k2, k3), (h, k3, k4)):
-            np.add(a, np.multiply(c, k, out=stage), out=stage)
+        for c, x, k_next in ((0.5 * h, x1, k2), (0.5 * h, x2, k3), (h, x3, k4)):
+            np.add(real(a), np.multiply(c, x, out=xs), out=xs)
             galerkin_rhs_array(geometry, stage, params, mask, k_next, work)
         # a + (h/6)(((k1 + 2 k2) + 2 k3) + k4), summed in k1
-        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-        np.add(k1, k4, out=k1)
-        a = a + np.multiply(h / 6.0, k1, out=k1)
+        np.add(x1, np.multiply(2.0, x2, out=x2), out=x1)
+        np.add(x1, np.multiply(2.0, x3, out=x3), out=x1)
+        np.add(x1, x4, out=x1)
+        a = np.add(real(a), np.multiply(h / 6.0, x1, out=x1)).view(np.complex128)
     return a
 
 
@@ -246,9 +224,11 @@ def _flow_step(
     geometry: TorusGeometry, cfg: FlowConfig, mode: str, dt: float, coeffs: np.ndarray,
     gauge_shift: bool = False,
 ):
-    """The macro step of `cfg` for states shaped like `coeffs`, after the
-    pre-flight check that exp(beta |Pi_N u|^2) of `coeffs` is finite.  The
-    linear phase factor and the substep's work buffers are made once, here."""
+    """(fold, step, unfold) for states shaped like `coeffs`, after the pre-flight
+    check that exp(beta |Pi_N u|^2) of `coeffs` is finite: the macro step of
+    `cfg`, which overwrites a plane pair it is given, and the maps between box
+    coefficients and its states (plane pairs in Galerkin mode on a box with
+    `plane_basis`).  Phase factors and work buffers are made once, here."""
     p = cfg.params
     mask = geometry.euclid_mask(p.n_cut)
     absq = geometry.scale**2 * np.abs(to_grid_array(geometry, coeffs * mask, shifted=True)) ** 2
@@ -261,18 +241,31 @@ def _flow_step(
     # Strang: linear(dt/2) o nonlinear(dt) o linear(dt/2); Lie: nonlinear o linear
     phase = np.exp(-2j * (0.5 * dt if strang else dt) * omega)
     work = (_galerkin_work if mode == "galerkin" else _collocation_work)(geometry, coeffs.shape)
+    if mode != "galerkin" or geometry.plane_basis is None:
+        fold = unfold = lambda a: a
+        rotate = lambda a: a * phase
+    else:
+        fold, unfold = (functools.partial(f, geometry) for f in (fold_planes, unfold_planes))
+        # (c + i s)(X0 + i X1) = (c X0 - s X1) + i (s X0 + c X1) per column, in
+        # place, with the factors laid out in full (a broadcast costs double)
+        sin = phase.imag * np.array([-1.0, 1.0]).reshape(2, *[1] * coeffs.ndim)
+        cos, turn = (np.broadcast_to(f, (2, *coeffs.shape)).copy() for f in (phase.real, sin))
+        y, z = _plane_view(work[3]), _plane_view(work[4])
+
+        def rotate(a: np.ndarray) -> np.ndarray:
+            x = _plane_view(a)
+            np.add(np.multiply(x, cos, out=y), np.multiply(x[::-1], turn, out=z), out=x)
+            return a
 
     def step(a: np.ndarray) -> np.ndarray:
-        a = a * phase
+        a = rotate(a)
         if mode == "collocation":
             a = collocation_phase_array(geometry, a, dt, p, gauge_shift, work)
         else:
-            a = galerkin_substep_array(
-                geometry, a, dt, p, cfg.nonlinear_substeps, mask, work
-            )
-        return a * phase if strang else a
+            a = galerkin_substep_array(geometry, a, dt, p, cfg.nonlinear_substeps, mask, work)
+        return rotate(a) if strang else a
 
-    return step
+    return fold, step, unfold
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +305,8 @@ def evolve(
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     mask = geometry.euclid_mask(cfg.params.n_cut)
     coeffs = np.array(u0, np.complex128)
-    step = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
+    fold, step, unfold = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
+    state = fold(coeffs)
     times = np.zeros(n_steps + 1)
     snaps = np.empty((-(-n_steps // cfg.store_every) + 1, *coeffs.shape), np.complex128)
     stored = []
@@ -322,7 +316,8 @@ def evolve(
     diags = {}
     for k in range(n_steps + 1):
         if k:
-            coeffs = step(coeffs)
+            state = step(state)
+            coeffs = unfold(state)
             times[k] = k * dt
         if k % cfg.store_every == 0 or k == n_steps:
             snaps[len(stored)] = coeffs
@@ -349,9 +344,11 @@ def evolve_ensemble(
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     a = np.array(coeffs, dtype=np.complex128)
-    step = _flow_step(geometry, cfg, mode, dt, a)
+    fold, step, unfold = _flow_step(geometry, cfg, mode, dt, a)
+    a = fold(a)
     for _ in range(n_steps):
         a = step(a)
+    a = unfold(a)
     # NaN and infinity persist under the flow, so the endpoint shows any overflow
     bad = ~np.isfinite(a).all(axis=geometry.axes)
     if bad.any():
@@ -368,12 +365,8 @@ def evolve_ensemble(
 
 
 def liouville_check(
-    params: ModelParams,
-    dt: float,
-    probe: np.ndarray,
-    h: float = 1e-5,
-    symbol: str = "bracket",
-    substeps: int = 1,
+    params: ModelParams, dt: float, probe: np.ndarray, h: float = 1e-5,
+    symbol: str = "bracket", substeps: int = 1,
 ) -> float:
     """|det J - 1| of one Strang Galerkin step at the box `probe`, J estimated
     by central differences on the 2 * #active-modes real coordinates.
@@ -388,21 +381,14 @@ def liouville_check(
     dim = 2 * idx.size
     if dim > 20:
         raise ValueError(f"phase-space dimension {dim} exceeds the cap of 20")
-    cfg = FlowConfig(
-        params=params,
-        dt=dt,
-        t_final=dt,
-        nonlinear_substeps=substeps,
-        dispersion_symbol=symbol,
-    )
+    cfg = FlowConfig(params, dt, dt, nonlinear_substeps=substeps, dispersion_symbol=symbol)
     base = np.array(probe, np.complex128).ravel()
-    macro_step = _flow_step(geometry, cfg, "galerkin", dt, probe)
+    fold, macro_step, unfold = _flow_step(geometry, cfg, "galerkin", dt, probe)
 
     def step(x: np.ndarray) -> np.ndarray:
         a = base.copy()
         a[idx] = x[: idx.size] + 1j * x[idx.size :]
-        a = a.reshape(geometry.box_shape)
-        a = macro_step(a)
+        a = unfold(macro_step(fold(a.reshape(geometry.box_shape))))
         flat = a.ravel()[idx]
         return np.concatenate([flat.real, flat.imag])
 
@@ -410,8 +396,7 @@ def liouville_check(
     jac = np.empty((dim, dim))
     for j in range(dim):
         hj = h * max(1.0, abs(x0[j]))
-        xp = x0.copy()
-        xm = x0.copy()
+        xp, xm = x0.copy(), x0.copy()
         xp[j] += hj
         xm[j] -= hj
         jac[:, j] = (step(xp) - step(xm)) / (2.0 * hj)
@@ -428,12 +413,7 @@ class ConvergenceTable:
 
 
 def truncation_convergence(
-    u0: np.ndarray,
-    cfg: FlowConfig,
-    n_ladder: list,
-    n_ref: int,
-    s: float,
-    mode: str = "galerkin",
+    u0: np.ndarray, cfg: FlowConfig, n_ladder: list, n_ref: int, s: float, mode: str = "galerkin"
 ) -> ConvergenceTable:
     """sup_{t<=T} ||Pi_N Phi_N(t)u0 - Phi_ref(t)u0||_{H^s} per ladder cutoff.
 
@@ -481,8 +461,6 @@ def trajectory_to_csv(traj: Trajectory, path, snapshot_dir=None) -> None:
         for lo in range(0, len(traj.times), 256):
             writer.writerows(zip(*([f"{x:.17g}" for x in c[lo : lo + 256].tolist()] for c in cols)))
     if snapshot_dir is not None:
-        import os
-
         os.makedirs(snapshot_dir, exist_ok=True)
         for t, snap in zip(traj.snapshot_times, traj.snapshots):
             save_snapshot(snap, os.path.join(snapshot_dir, f"field_t{t:.6f}.gnls"))

@@ -128,9 +128,7 @@ def cumulative_simpson(y: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def apply_gauge(
-    traj: Trajectory, params: ModelParams, direction: str = "forward"
-) -> Trajectory:
+def apply_gauge(traj: Trajectory, params: ModelParams, direction: str = "forward") -> Trajectory:
     """Multiply each snapshot by exp(+-i int_0^t G(u) dt'), integrating the
     gauge frequency over the stored snapshots by composite Simpson.
 
@@ -289,9 +287,7 @@ class EquivalenceReport:
     discrepancies: np.ndarray
 
 
-def gauged_flow_equivalence(
-    u0: np.ndarray, cfg: FlowConfig, t_horizon: float
-) -> EquivalenceReport:
+def gauged_flow_equivalence(u0: np.ndarray, cfg: FlowConfig, t_horizon: float) -> EquivalenceReport:
     """Integrate the plain flow, gauge it, and independently integrate the
     gauged equation (gauge frequency as an extra exact phase substep); the
     report holds sup_t || v - G(u) ||_{L^2}."""

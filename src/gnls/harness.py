@@ -288,13 +288,9 @@ def _as_json(obj):
 
 
 def observable_matrix(
-    geometry: TorusGeometry,
-    coeffs: np.ndarray,
-    params: ModelParams,
-    symbol: str = FlowConfig.dispersion_symbol,
-    s_norms=ObservablesBlock.s_norms,
-    mode_powers=ObservablesBlock.mode_powers,
-    potential: np.ndarray | None = None,
+    geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams,
+    symbol: str = FlowConfig.dispersion_symbol, s_norms=ObservablesBlock.s_norms,
+    mode_powers=ObservablesBlock.mode_powers, potential: np.ndarray | None = None,
 ) -> dict:
     """Batched observable vector; coeffs shape (m, *box).  A caller that has
     V_beta(Pi_N u) of each row already passes it as `potential`."""
@@ -353,17 +349,9 @@ def _paired_stats(diffs: np.ndarray, weights: np.ndarray, scale: float = 1.0):
 
 
 def invariance_test(
-    params: ModelParams,
-    cfg: FlowConfig,
-    t_horizon: float,
-    m: int,
-    rng: RngStream,
-    threshold: float = 3.0,
-    control_beta_factor: float = 2.0,
-    control_observable: str = "potential",
-    s_norms=(0.25,),
-    mode_powers=ObservablesBlock.mode_powers,
-    threads: int | None = None,
+    params: ModelParams, cfg: FlowConfig, t_horizon: float, m: int, rng: RngStream,
+    threshold: float = 3.0, control_beta_factor: float = 2.0, control_observable: str = "potential",
+    s_norms=(0.25,), mode_powers=ObservablesBlock.mode_powers, threads: int | None = None,
 ) -> InvarianceReport:
     """Weighted paired-difference test of Gibbs invariance under the
     truncated flow, plus the mismatched-weight negative control."""

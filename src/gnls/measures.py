@@ -129,10 +129,7 @@ def mass_array(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
 
 
 def potential_array(
-    geometry: TorusGeometry,
-    coeffs: np.ndarray,
-    beta: float,
-    clip: float | None = None,
+    geometry: TorusGeometry, coeffs: np.ndarray, beta: float, clip: float | None = None
 ) -> np.ndarray:
     """V_beta by grid quadrature of exp(beta |u|^2), optionally min(V, clip).
     The grid is synthesised a block of rows at a time, at most

@@ -14,28 +14,32 @@ The grid transform pair has two frames: grid values u(x_j), or with
 (N = n_max), so that u = ramp v with ramp = (2pi)^(-d/2) e^{-i N(x_1+..+x_d)}.
 There box index k is FFT bin k: the synthesis is a zero-padded np.fft.ifft and
 the analysis keeps bins 0..2N.  The kernels that read only |u|^2 = scale^2 |v|^2
-or form u f(|u|^2) work in the shifted frame: the Galerkin and collocation
-substeps, the flow's pre-flight check, the potential and the gauge frequency.
-That is exact by gauge covariance: the unimodular factor
+or form u f(|u|^2) work in the shifted frame: the collocation substep, the
+Galerkin one on FFT boxes, the flow's pre-flight check, the potential and the
+gauge frequency.  That is exact by gauge covariance: the unimodular factor
 e^{i N(x_1+..+x_d)} on u multiplies u f(|u|^2) by the same factor.
 
 The shifted-frame transform has two paths, chosen by the geometry.  A d = 1
 box with K M <= 2048 (K = 2N+1 modes, M = m_grid points; N <= 10 at the
 default oversampling) multiplies by the cached dense matrices
-`TorusGeometry.dft`; every other box runs pocketfft.  At these sizes a zgemm
-costs less than numpy's FFT wrapper.  `_dense` runs those products, and the
-float64 ones of the dense Galerkin stage (`dynamics`), in stacked items of at
-most 2^18 real multiply-adds, a complex one counting as four: 2^16 // (K M)
-rows for the public pair (55 at N = 8), 2^18 // (2K M) for the Galerkin
-stage's real halves (110).  Two facts of OpenBLAS shape the public pair: it
-runs a zgemm with m n k <= 2^16 on the calling thread, so an item never
-starts BLAS threads beside the ensemble's own, and it rounds a one-row
-product (a zgemv) differently, so a lone row is computed as two.  A row's
-bits there then depend on neither its batch nor its position in it.  A
-float64 item stays on the calling thread too, and a dgemv also rounds
-differently, so the lone-row rule holds for both dtypes; but float64
-products shaped like the Galerkin analysis, (n, M) @ (M, 2K), round a row
-according to its position in its item.
+`TorusGeometry.dft`, because at these sizes a zgemm costs less than numpy's
+FFT wrapper; every other box runs pocketfft.  Such a box also has
+`plane_basis`, the real K x M basis B = (1, sqrt2 cos mx, sqrt2 sin mx) of
+the true frame.  A plane pair (`fold_planes`) holds a state as two float64
+planes X0, X1 with u = scale (X0 + i X1) B, so that synthesis and analysis
+are one real product each; the dense Galerkin flow (`dynamics`) runs on them.
+The public pair stays on the zgemm: it takes and returns complex arrays, and
+a fold per call measured 4 times slower than the zgemm.
+
+`_dense` runs every dense product in stacked items of at most 2^18 real
+multiply-adds, a complex one counting as four: 2^16 // (K M) rows for the
+public pair (55 at N = 8), 2^18 // (K M) plane rows for the plane products
+(220).  OpenBLAS runs an item that small on the calling thread, so it never
+starts BLAS threads beside the ensemble's own; and it rounds a one-row
+product (a gemv) differently, so a lone row is computed as two.  A row's bits
+then depend on neither its batch nor its position in it, except in the plane
+analysis, (n, M) @ B^T, which rounds a row according to its position in its
+item (at N = 4 and 8, not at N = 10).
 """
 
 from __future__ import annotations
@@ -144,6 +148,22 @@ class TorusGeometry:
         analysis = np.ascontiguousarray(synthesis.conj().T) * self.norm
         synthesis.flags.writeable = analysis.flags.writeable = False
         return synthesis, analysis
+
+    @functools.cached_property
+    def plane_basis(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(B, B^T) for a box with `dft`, read-only and C-contiguous (OpenBLAS
+        runs a transposed operand 1.7 times slower), else None.  Row n + N of
+        the K x M basis B of plane pairs samples sqrt2 sin(|n| x) for n < 0, 1
+        for n = 0 and sqrt2 cos(n x) for n > 0."""
+        if self.dft is None:
+            return None
+        n = self.modes[:, None]
+        x = self.x[np.abs(n) * np.arange(self.m_grid) % self.m_grid]
+        basis = np.where(n > 0, math.sqrt(2.0) * np.cos(x), math.sqrt(2.0) * np.sin(x))
+        basis[self.n_max] = 1.0
+        transpose = np.ascontiguousarray(basis.T)
+        basis.flags.writeable = transpose.flags.writeable = False
+        return basis, transpose
 
     @functools.cached_property
     def ramp(self) -> np.ndarray:
@@ -255,22 +275,50 @@ def from_grid_array(
     return np.multiply(geometry.norm, values, out=out)
 
 
+def _plane_view(pair: np.ndarray) -> np.ndarray:
+    """The float64 planes (2, *pair.shape) of a C-contiguous complex128 pair."""
+    return pair.view(np.float64).reshape(2, *pair.shape)
+
+
+def _fold_weights(geometry: TorusGeometry) -> list[np.ndarray]:
+    """(w, w') with X0 + i X1 = w a + w' a_reversed (`fold_planes`)."""
+    n, s = geometry.modes, math.sqrt(0.5)
+    return [np.where(n > 0, s, np.where(n < 0, sign * s, 0.5)) for sign in (-1j, 1j)]
+
+
+def fold_planes(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
+    """The plane pair of box coefficients a on a box with `plane_basis` B: a
+    fresh complex128 array of a's shape whose `_plane_view` holds the planes
+    X0, X1 with u = scale (X0 + i X1) B.  X0 + i X1 is a_0 at mode 0,
+    (a_m + a_-m)/sqrt2 at m > 0 and i (a_m - a_-m)/sqrt2 at -m: a unitary
+    map, so sum |a_n|^2 = |X0|^2 + |X1|^2."""
+    w, w_rev = _fold_weights(geometry)
+    z = w * coeffs + w_rev * coeffs[..., ::-1]
+    pair = np.empty(z.shape, np.complex128)
+    np.stack([z.real, z.imag], out=_plane_view(pair))
+    return pair
+
+
+def unfold_planes(geometry: TorusGeometry, pair: np.ndarray) -> np.ndarray:
+    """The box coefficients of a `fold_planes` pair, by the adjoint map."""
+    w, w_rev = _fold_weights(geometry)
+    z = np.empty(pair.shape, np.complex128)
+    z.real, z.imag = _plane_view(pair)
+    return np.conj(w) * z + np.conj(w_rev[::-1]) * z[..., ::-1]
+
+
 # ---------------------------------------------------------------------------
 # norms and symbols
 # ---------------------------------------------------------------------------
 
 
-def sobolev_norm_array(
-    geometry: TorusGeometry, coeffs: np.ndarray, s: float
-) -> np.ndarray:
+def sobolev_norm_array(geometry: TorusGeometry, coeffs: np.ndarray, s: float) -> np.ndarray:
     """H^s norm: (sum <n>^{2s} |a_n|^2)^(1/2)."""
     w = geometry.bracket(2.0 * s)
     return np.sqrt(np.sum(w * np.abs(coeffs) ** 2, axis=geometry.axes))
 
 
-def dispersion_weights(
-    geometry: TorusGeometry, alpha: float, symbol: str
-) -> np.ndarray:
+def dispersion_weights(geometry: TorusGeometry, alpha: float, symbol: str) -> np.ndarray:
     """Per-mode symbol w_n: <n>^alpha ('bracket') or |n|^alpha ('pure')."""
     if symbol == "bracket":
         return geometry.bracket(alpha)

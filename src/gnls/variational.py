@@ -68,10 +68,7 @@ class BumpScan:
 
 
 def bump_norm_scan(
-    n_ladder: list,
-    s_list: list,
-    x0: float = 0.0,
-    oversampling: float = 8.0,
+    n_ladder: list, s_list: list, x0: float = 0.0, oversampling: float = 8.0
 ) -> BumpScan:
     """Measure ||f_N||_{L^2}^2, ||f_N||_inf, ||f_N||_{H^s} over a ladder of N
     and fit the sup-norm growth exponent; also record the lower bound of
@@ -235,11 +232,7 @@ def ou_gap_variance(params: ModelParams, dt: float, scheme: str) -> np.ndarray:
 
 
 def simulate_ou_gap(
-    params: ModelParams,
-    m: int,
-    rng: RngStream,
-    dt: float | None = None,
-    scheme: str = "euler",
+    params: ModelParams, m: int, rng: RngStream, dt: float | None = None, scheme: str = "euler"
 ) -> np.ndarray:
     """Per-sample spatial mean of |Y(1,x) - Z_N(1,x)|^2, i.e. the Parseval
     sum (2pi)^(-1) sum_n |<n>^(-alpha/2) B_n(1) - Z_{N,n}(1)|^2 over the
@@ -365,13 +358,8 @@ def _bootstrap_means(values: np.ndarray, n_boot: int, gen: np.random.Generator) 
 
 
 def divergence_scan(
-    params: ModelParams,
-    gamma_sign: float,
-    k_mass: float | None,
-    l_ladder: list,
-    m: int,
-    rng: RngStream,
-    n_boot: int = 2000,
+    params: ModelParams, gamma_sign: float, k_mass: float | None, l_ladder: list, m: int,
+    rng: RngStream, n_boot: int = 2000,
 ) -> DivergenceScan:
     """Direct Monte-Carlo of E_mu[ exp(-gamma min(V_beta, L)) 1{||u|| <= K} ]
     over a ladder of clips L, reusing one sample set for all L (paired).

@@ -28,12 +28,11 @@ from gnls import spectral
 from gnls.dynamics import (
     _collocation_work,
     _galerkin_work,
-    _real_dft,
     galerkin_rhs_array,
     gauge_frequency,
     trajectory_to_csv,
 )
-from gnls.spectral import TWO_PI
+from gnls.spectral import TWO_PI, _plane_view, fold_planes, unfold_planes
 
 from conftest import direct_synthesis, from_modes, random_field, smooth_field
 
@@ -152,31 +151,39 @@ class TestGalerkinSubstep:
 
 def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
     """The Galerkin substep written with a fresh array per operation, in the
-    operation order `galerkin_substep_array` must keep bit for bit: on a
-    dense box the float64 planes of `_real_dft`, on any other the complex
-    grid."""
+    operation order `galerkin_substep_array` must keep bit for bit: on a box
+    with `plane_basis` B, plane pairs in real arithmetic (the state's
+    float64 planes, scaled and masked, times B, then the planes times B^T,
+    turned symplectically, and the RK4 stages combined as float64), on any
+    other the complex grid."""
 
     def rhs(a):
-        if geometry.dft is None:
+        if geometry.plane_basis is None:
             values = to_grid_array(geometry, a * mask, shifted=True)
             values = np.exp(params.beta * geometry.scale**2 * np.abs(values) ** 2) * values
             conv = from_grid_array(geometry, values, shifted=True)
             return -2j * params.gamma * params.beta * (conv * mask)
-        synthesis, analysis = _real_dft(geometry, params.beta, params.gamma)
-        x = (a * mask).view(np.float64)
-        re, im = (spectral._dense(x, matrix, None) for matrix in synthesis)
-        f = np.exp(re**2 + im**2)
-        conv = spectral._dense(re * f, analysis[0], None) + spectral._dense(im * f, analysis[1], None)
-        return conv.view(np.complex128) * mask
+        (basis, transpose), root = geometry.plane_basis, math.sqrt(params.beta)
+        x = _plane_view(a) * (geometry.scale * root * mask)
+        v = spectral._dense(x, basis, None)
+        g = spectral._dense(v * np.exp(v[0] ** 2 + v[1] ** 2), transpose, None)
+        kappa = 2.0 * params.gamma * root / (geometry.scale * geometry.m_grid) * mask
+        return np.stack([g[1] * kappa, g[0] * -kappa]).reshape(-1).view(np.complex128).reshape(a.shape)
 
-    h = t / substeps
+    # plane pairs combine in float64, complex boxes in complex arithmetic
+    real = (lambda z: z.view(np.float64)) if geometry.plane_basis is not None else (lambda z: z)
+
+    def slope(x):
+        return real(rhs(x.view(np.complex128)))
+
+    h, x = t / substeps, real(coeffs)
     for _ in range(substeps):
-        k1 = rhs(coeffs)
-        k2 = rhs(coeffs + 0.5 * h * k1)
-        k3 = rhs(coeffs + 0.5 * h * k2)
-        k4 = rhs(coeffs + h * k3)
-        coeffs = coeffs + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return coeffs
+        k1 = slope(x)
+        k2 = slope(x + 0.5 * h * k1)
+        k3 = slope(x + 0.5 * h * k2)
+        k4 = slope(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x.view(np.complex128)
 
 
 def allocating_collocation(geometry, coeffs, t, params, gauge_shift):
@@ -250,9 +257,9 @@ class TestBufferedGalerkin:
 class TestShiftedFrameKernels:
     # no mask in d = 1 at n_cut = n_max; a sharp cut below n_max, or in d = 2
     # the Euclidean corners of the box, otherwise.  The dense d = 1 boxes run
-    # in real arithmetic: the smallest one, a lone row, and at n_max = 10 a
-    # masked batch and one float64 item of 2^18 // (42 * 84) = 74 rows with a
-    # one-row tail
+    # on plane pairs: the smallest one, a lone row, and at n_max = 10 a masked
+    # batch and 75 rows, whose 150 plane rows fill one float64 item of
+    # 2^18 // (21 * 84) = 148 rows and a two-row tail
     @pytest.mark.parametrize(
         "d, n_max, n_cut, batch",
         [
@@ -266,7 +273,10 @@ class TestShiftedFrameKernels:
         mask = geo.euclid_mask(n_cut)
         shape = (*batch, *geo.box_shape)
         a = 0.3 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
-        got = galerkin_rhs_array(geo, a, p, None if mask.all() else mask)
+        planes = geo.plane_basis is not None
+        state = fold_planes(geo, a) if planes else a
+        got = galerkin_rhs_array(geo, state, p, None if mask.all() else mask)
+        got = unfold_planes(geo, got) if planes else got
         # -2i gamma beta P_N[e^{beta |u|^2} u], u = P_N a sampled by the direct sum
         # and analysed by the direct quadrature
         u = direct_synthesis(geo, a * mask)

@@ -19,7 +19,7 @@ from gnls import (
     sobolev_norm_array,
     to_grid_array,
 )
-from gnls.spectral import TWO_PI
+from gnls.spectral import TWO_PI, _plane_view, fold_planes, unfold_planes
 
 from conftest import direct_synthesis, from_modes, random_field
 
@@ -239,6 +239,45 @@ class TestDenseTransforms:
             for i in range(size):
                 assert grid[i].tobytes() == alone[i][0].tobytes(), (size, i)
                 assert box[i].tobytes() == alone[i][1].tobytes(), (size, i)
+
+
+class TestPlanePairs:
+    """A box with `dft` also holds states as plane pairs in the real basis
+    B = (1, sqrt2 cos mx, sqrt2 sin mx) of `plane_basis`."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        n_max=st.integers(0, 10),
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fold_round_trip_parseval_and_synthesis(self, n_max, batch, seed):
+        geo = TorusGeometry(d=1, n_max=n_max)
+        gen = np.random.default_rng(seed)
+        shape = (*batch, *geo.box_shape)
+        a = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+        pair = fold_planes(geo, a)
+        assert pair.shape == a.shape and pair.dtype == np.complex128
+        assert np.max(np.abs(unfold_planes(geo, pair) - a)) <= 1e-15 * np.max(np.abs(a))
+        planes = _plane_view(pair)
+        mass = np.sum(np.abs(a) ** 2, axis=-1)
+        np.testing.assert_allclose(np.sum(planes**2, axis=(0, -1)), mass, rtol=1e-14, atol=0)
+        # u = scale (X0 + i X1) B in the true frame, and the basis is orthogonal
+        basis, transpose = geo.plane_basis
+        u = geo.scale * (planes[0] @ basis + 1j * (planes[1] @ basis))
+        direct = direct_synthesis(geo, a)
+        assert np.max(np.abs(u - direct)) <= 1e-13 * np.max(np.abs(direct))
+        np.testing.assert_allclose(basis @ transpose, geo.m_grid * np.eye(2 * n_max + 1),
+                                   rtol=0, atol=1e-12 * geo.m_grid)
+
+    def test_basis_is_cached_read_only_and_only_on_dense_boxes(self):
+        geo = TorusGeometry(d=1, n_max=8)
+        basis, transpose = geo.plane_basis
+        assert geo.plane_basis is geo.plane_basis and basis.shape == (17, 70)
+        assert not basis.flags.writeable and not transpose.flags.writeable
+        assert transpose.flags.c_contiguous and np.array_equal(transpose, basis.T)
+        for geo in (TorusGeometry(d=1, n_max=11), TorusGeometry(d=2, n_max=1)):
+            assert geo.dft is None and geo.plane_basis is None
 
 
 class TestProjectors:
