@@ -29,7 +29,7 @@ the true frame.  A plane pair (`fold_planes`) holds a state as two float64
 planes X0, X1 with u = scale (X0 + i X1) B, so that synthesis and analysis
 are one real product each; the dense Galerkin flow (`dynamics`) runs on them.
 The public pair stays on the zgemm: it takes and returns complex arrays, and
-a fold per call measured 4 times slower than the zgemm.
+a fold per call measured 4.5 times slower than the zgemm.
 
 `_dense` runs every dense product in stacked items of at most 2^18 real
 multiply-adds, a complex one counting as four: 2^16 // (K M) rows for the
