@@ -21,16 +21,14 @@ The macro step composes an exact linear phase with a nonlinear substep:
   quadrature potential are preserved exactly.
 * galerkin mode: the projector destroys pointwise modulus conservation, so
   the substep is integrated by a classical 4th-order one-step method; modes
-  above the cutoff are untouched.  On a dense d = 1 box the flow runs on
-  plane pairs (`spectral.fold_planes`): a batch is folded once on entry and
-  unfolded once on exit, and `evolve` unfolds its row where it records
-  diagnostics.  The one real basis B of `plane_basis` does every job: the
-  grid planes are one stacked product with B, the right-hand side one with
-  B^T and a symplectic turn, the linear phase a rotation of each column, and
-  the mask acts per column.  The products run in items of 2^18 // (K M) plane
-  rows (220 at N = 8), a lone row as two; the analysis rounds a row by its
-  position in its item, so in an ensemble a row's bits depend on its position
-  in its fixed 1024-row chunk, never on the thread count.
+  above the cutoff are untouched.  On a d = 1 box with `plane_basis` B the
+  flow runs on plane pairs (`spectral.fold_planes`), folded once and
+  unfolded once per batch (in `evolve`, per diagnostics block): the grid
+  planes are one product with B, the right-hand side one with B^T (both with
+  the mask and the constants folded in), the linear phase rotates each
+  column.  The products run in items of 2^18 // (K M) plane rows, a lone row
+  as two; in an ensemble a row's bits may depend on its position in its
+  fixed 1024-row chunk, never on the thread count.
 
 Strang composition linear(dt/2) o nonlinear(dt) o linear(dt/2) is second
 order; the Lie variant is provided for order checks.  Both modes commute with
@@ -52,19 +50,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import ModelParams, kinetic_sum_array, mass_array, potential_array
-from .spectral import (
-    TorusGeometry,
-    _block_rows,
-    _dense,
-    _plane_view,
-    dispersion_weights,
-    fold_planes,
-    from_grid_array,
-    save_snapshot,
-    sobolev_norm_array,
-    to_grid_array,
-    unfold_planes,
-)
+from .spectral import (TorusGeometry, _GEMM_SIZE, _block_rows, _dense, _plane_view,
+                       dispersion_weights, fold_planes, from_grid_array, save_snapshot,
+                       sobolev_norm_array, to_grid_array, unfold_planes)
 
 SYMBOLS = ("bracket", "pure")
 SCHEMES = ("strang", "lie")
@@ -149,12 +137,28 @@ def collocation_phase_array(
     return from_grid_array(geometry, values, np.empty_like(coeffs, np.complex128), shifted=True)
 
 
-def _galerkin_work(geometry: TorusGeometry, shape: tuple) -> tuple:
-    """Work buffers of the Galerkin substep for states of `shape`: box, grid
-    and |u|^2 for `galerkin_rhs_array`, then the four RK4 slopes and the stage."""
-    grid = shape[: len(shape) - geometry.d] + geometry.grid_shape
-    box = [np.empty(shape, np.complex128) for _ in range(6)]
-    return (box[0], np.empty(grid, np.complex128), np.empty(grid), *box[1:])
+def _galerkin_work(geometry: TorusGeometry, shape: tuple, params: ModelParams, mask) -> tuple:
+    """Work of the Galerkin substep for states of `shape`: on a box with
+    `plane_basis` B the operators c P_N B and B^T kappa P_N (c = scale
+    sqrt(beta), kappa = 2 gamma sqrt(beta) / (scale M)), the (2n, K) views of
+    its buffers by id (unique while `work` holds them) and the grid planes
+    (2n, M), else None and the complex grid; then |u|^2, the RK4 slopes and
+    stage, and their planes (2, n K) with the turn's plane signs."""
+    batch, box = shape[: len(shape) - geometry.d], [np.empty(shape, complex) for _ in range(5)]
+    if geometry.plane_basis is None:
+        grid = batch + geometry.grid_shape
+        return (None, np.empty(grid, np.complex128), np.empty(grid), *box, (*box, 1.0, box[:3]))
+    (basis, transpose), root, m = geometry.plane_basis, math.sqrt(params.beta), geometry.m_grid
+    cut = np.broadcast_to(1.0 if mask is None else mask, len(basis))
+    grid, absq = np.empty((2 * math.prod(batch), m)), np.empty(batch + (m,))
+    synthesis = (geometry.scale * root * cut)[:, None] * basis
+    analysis = transpose * (2.0 * params.gamma * root / (geometry.scale * m) * cut)
+    product = np.dot if grid.size * len(basis) <= _GEMM_SIZE else _dense  # np.dot: matmul's bits
+    flat = {id(k): k.view(np.float64).reshape(len(grid), -1) for k in box}
+    rk4 = [k.view(np.float64).reshape(2, -1) for k in box]
+    rk4 += [np.array([[1.0], [-1.0]]), [x[::-1] for x in rk4[:3]]]
+    ops = (synthesis, analysis, grid.reshape(2, *absq.shape), product, flat)
+    return (ops, grid, absq, *box, rk4)
 
 
 def galerkin_rhs_array(
@@ -162,73 +166,79 @@ def galerkin_rhs_array(
     out: np.ndarray | None = None, work: tuple | None = None,
 ) -> np.ndarray:
     """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u] (`mask` None: P_N = 1), into
-    `out` when given; the first three buffers of `work` (from `_galerkin_work`)
-    are overwritten.  On a box with `plane_basis` B, state and result are plane
-    pairs (`fold_planes`): one product (scale sqrt(beta) P_N X) B makes the
-    grid planes sqrt(beta) u, one of sqrt(beta) e^{beta |u|^2} u with B^T gives
-    G, and the result is the symplectic turn kappa P_N (G1, -G0), kappa =
-    2 gamma sqrt(beta) / (scale M).  Other boxes use the shifted grid."""
-    box, grid, absq = (work or _galerkin_work(geometry, coeffs.shape))[:3]
-    if geometry.plane_basis is None:
-        coeffs = coeffs if mask is None else np.multiply(coeffs, mask, out=box)
+    `out` when given, in `work` (from `_galerkin_work`; its grid and |u|^2 are
+    overwritten).  On a box with `plane_basis` the state is a plane pair
+    (`fold_planes`) and the result the pair G whose turn (G1, -G0) is the
+    derivative: the 2n planes times c P_N B are the grid planes of sqrt(beta)
+    u, which scaled by e^{beta |u|^2} and times B^T kappa P_N give G."""
+    ops, grid, absq = (work or _galerkin_work(geometry, coeffs.shape, params, mask))[:3]
+    out = np.empty(coeffs.shape, np.complex128) if out is None else out
+    if ops is None:
+        coeffs = coeffs if mask is None else np.multiply(coeffs, mask, out=out)
         values = to_grid_array(geometry, coeffs, out=grid, shifted=True)
         np.square(np.abs(values, out=absq), out=absq)
         np.exp(np.multiply(params.beta * geometry.scale**2, absq, out=absq), out=absq)
         np.multiply(absq, values, out=values)
-        conv = from_grid_array(geometry, values, out=box, shifted=True)
+        conv = from_grid_array(geometry, values, out=out, shifted=True)
         conv = conv if mask is None else np.multiply(conv, mask, out=conv)
         return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
-    (basis, transpose), root = geometry.plane_basis, math.sqrt(params.beta)
-    cut = 1.0 if mask is None else mask
-    x = np.multiply(_plane_view(coeffs), geometry.scale * root * cut, out=_plane_view(box))
-    planes = _dense(x, basis, _plane_view(grid))
+    synthesis, analysis, planes, product, flat = ops
+    x = flat[id(coeffs)] if id(coeffs) in flat else coeffs.view(np.float64).reshape(len(grid), -1)
+    g = flat[id(out)] if id(out) in flat else out.view(np.float64).reshape(x.shape)
+    product(x, synthesis, grid)
     np.einsum("i...,i...->...", planes, planes, out=absq)  # planes[0]**2 + planes[1]**2
-    g = _dense(np.multiply(planes, np.exp(absq, out=absq), out=planes), transpose, x)
-    kappa = 2.0 * params.gamma * root / (geometry.scale * geometry.m_grid) * cut
-    out = np.empty(coeffs.shape, np.complex128) if out is None else out
-    np.multiply(g[1], kappa, out=_plane_view(out)[0])
-    np.multiply(g[0], -kappa, out=_plane_view(out)[1])
+    np.multiply(planes, np.exp(absq, out=absq), out=planes)
+    product(grid, analysis, g)
     return out
+
+
+def _rk4(geometry: TorusGeometry, a: np.ndarray, t: float, params: ModelParams, substeps: int,
+         mask: np.ndarray | None, work: tuple) -> np.ndarray:
+    """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`, in
+    place on its state `a`; plane pairs combine as float64 (a complex product
+    with a real factor would let a non-finite entry spoil another row)."""
+    k1, k2, k3, k4, stage, (x1, x2, x3, x4, xs, sign, turns) = work[3:]
+    h, xa = t / substeps, a if work[0] is None else a.view(np.float64).reshape(xs.shape)
+    half, full, sixth = np.multiply.outer((0.5 * h, h, h / 6.0), sign)
+    for _ in range(substeps):
+        galerkin_rhs_array(geometry, a, params, mask, k1, work)
+        for c, x, k_next in zip((half, half, full), turns, (k2, k3, k4)):
+            np.add(xa, np.multiply(c, x, out=xs), out=xs)
+            galerkin_rhs_array(geometry, stage, params, mask, k_next, work)
+        # a + (h/6)(((k1 + 2 k2) + 2 k3) + k4), summed in k1
+        np.add(x1, np.multiply(2.0, x2, out=x2), out=x1)
+        np.add(x1, np.multiply(2.0, x3, out=x3), out=x1)
+        np.add(x1, x4, out=x1)
+        np.add(xa, np.multiply(sixth, turns[0], out=xs), out=xa)
+    return a
 
 
 def galerkin_substep_array(
     geometry: TorusGeometry, coeffs: np.ndarray, t: float, params: ModelParams,
     substeps: int, mask: np.ndarray | None, work: tuple | None = None,
 ) -> np.ndarray:
-    """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`, on its
-    states (plane pairs on a box with `plane_basis`).  The stages run in the
-    buffers `work` of `_galerkin_work`, which a call overwrites; the result is
-    always a fresh array."""
-    work = work or _galerkin_work(geometry, coeffs.shape)
-    # plane pairs combine as float64: a complex product with a real factor
-    # would let a non-finite entry spoil its neighbour in memory, another row
-    real = (lambda z: z.view(np.float64)) if geometry.plane_basis is not None else (lambda z: z)
-    k1, k2, k3, k4, stage = work[3:]
-    x1, x2, x3, x4, xs = map(real, work[3:])
-    h = t / substeps
-    a = coeffs
-    for _ in range(substeps):
-        galerkin_rhs_array(geometry, a, params, mask, k1, work)
-        for c, x, k_next in ((0.5 * h, x1, k2), (0.5 * h, x2, k3), (h, x3, k4)):
-            np.add(real(a), np.multiply(c, x, out=xs), out=xs)
-            galerkin_rhs_array(geometry, stage, params, mask, k_next, work)
-        # a + (h/6)(((k1 + 2 k2) + 2 k3) + k4), summed in k1
-        np.add(x1, np.multiply(2.0, x2, out=x2), out=x1)
-        np.add(x1, np.multiply(2.0, x3, out=x3), out=x1)
-        np.add(x1, x4, out=x1)
-        a = np.add(real(a), np.multiply(h / 6.0, x1, out=x1)).view(np.complex128)
-    return a
+    """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`, from
+    box coefficients to a fresh array of them, in `work` (from
+    `_galerkin_work`, overwritten); on a box with `plane_basis` it runs on
+    the plane pair and returns the modes outside `mask` as given."""
+    work = work or _galerkin_work(geometry, coeffs.shape, params, mask)
+    if work[0] is None:
+        return _rk4(geometry, np.array(coeffs, np.complex128), t, params, substeps, mask, work)
+    pair = _rk4(geometry, fold_planes(geometry, coeffs), t, params, substeps, mask, work)
+    return np.where(True if mask is None else mask, unfold_planes(geometry, pair), coeffs)
 
 
 def _flow_step(
     geometry: TorusGeometry, cfg: FlowConfig, mode: str, dt: float, coeffs: np.ndarray,
     gauge_shift: bool = False,
 ):
-    """(fold, step, unfold) for states shaped like `coeffs`, after the pre-flight
-    check that exp(beta |Pi_N u|^2) of `coeffs` is finite: the macro step of
-    `cfg`, which overwrites a plane pair it is given, and the maps between box
-    coefficients and its states (plane pairs in Galerkin mode on a box with
-    `plane_basis`).  Phase factors and work buffers are made once, here."""
+    """(fold, step, view, unfold) for states shaped like `coeffs`, made once
+    after the pre-flight check that exp(beta |Pi_N u|^2) of `coeffs` is
+    finite.  `step` is the macro step of `cfg` and may overwrite its state;
+    `fold` makes a state of box coefficients and `unfold` takes it back (in
+    Galerkin mode on a box with `plane_basis` a plane pair, whose `view` is
+    its planes; else the coefficients, viewed with a length-one axis).  On
+    plane pairs `first`/`last` False merge the half phases of Strang steps."""
     p = cfg.params
     mask = geometry.euclid_mask(p.n_cut)
     absq = geometry.scale**2 * np.abs(to_grid_array(geometry, coeffs * mask, shifted=True)) ** 2
@@ -239,33 +249,36 @@ def _flow_step(
     omega = dispersion_weights(geometry, p.alpha, cfg.dispersion_symbol)
     strang = cfg.scheme == "strang"
     # Strang: linear(dt/2) o nonlinear(dt) o linear(dt/2); Lie: nonlinear o linear
-    phase = np.exp(-2j * (0.5 * dt if strang else dt) * omega)
-    work = (_galerkin_work if mode == "galerkin" else _collocation_work)(geometry, coeffs.shape)
-    if mode != "galerkin" or geometry.plane_basis is None:
-        fold = unfold = lambda a: a
-        rotate = lambda a: a * phase
+    phases = [np.exp(-2j * tau * omega) for tau in ((0.5 * dt, dt) if strang else (dt,))]
+    work = (_galerkin_work(geometry, coeffs.shape, p, mask) if mode == "galerkin"
+            else _collocation_work(geometry, coeffs.shape))
+    planes = mode == "galerkin" and geometry.plane_basis is not None
+    if not planes:
+        fold, view, unfold = (lambda a: a), (lambda a: a[None]), (lambda a: a)
+        rotate = lambda a, full: a * phases[0]
     else:
         fold, unfold = (functools.partial(f, geometry) for f in (fold_planes, unfold_planes))
         # (c + i s)(X0 + i X1) = (c X0 - s X1) + i (s X0 + c X1) per column, in
-        # place, with the factors laid out in full (a broadcast costs double)
-        sin = phase.imag * np.array([-1.0, 1.0]).reshape(2, *[1] * coeffs.ndim)
-        cos, turn = (np.broadcast_to(f, (2, *coeffs.shape)).copy() for f in (phase.real, sin))
-        y, z = _plane_view(work[3]), _plane_view(work[4])
+        # place, with the factors laid out over the rows (broadcast, they cost double)
+        rows = [np.broadcast_to(ph, coeffs.shape).reshape(-1) for ph in phases]
+        factors = [(r.real.copy(), np.multiply.outer([-1.0, 1.0], r.imag)) for r in rows]
+        view, (y, z) = _plane_view, work[-1][:2]
 
-        def rotate(a: np.ndarray) -> np.ndarray:
-            x = _plane_view(a)
+        def rotate(a: np.ndarray, full: bool) -> np.ndarray:
+            (cos, turn), x = factors[full], a.view(np.float64).reshape(y.shape)
             np.add(np.multiply(x, cos, out=y), np.multiply(x[::-1], turn, out=z), out=x)
             return a
 
-    def step(a: np.ndarray) -> np.ndarray:
-        a = rotate(a)
+    def step(a: np.ndarray, first: bool = True, last: bool = True) -> np.ndarray:
+        if first or not (planes and strang):
+            a = rotate(a, False)
         if mode == "collocation":
             a = collocation_phase_array(geometry, a, dt, p, gauge_shift, work)
         else:
-            a = galerkin_substep_array(geometry, a, dt, p, cfg.nonlinear_substeps, mask, work)
-        return rotate(a) if strang else a
+            a = _rk4(geometry, a, dt, p, cfg.nonlinear_substeps, mask, work)
+        return rotate(a, planes and not last) if strang else a
 
-    return fold, step, unfold
+    return fold, step, view, unfold
 
 
 # ---------------------------------------------------------------------------
@@ -305,27 +318,30 @@ def evolve(
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     mask = geometry.euclid_mask(cfg.params.n_cut)
     coeffs = np.array(u0, np.complex128)
-    fold, step, unfold = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
+    fold, step, view, unfold = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
     state = fold(coeffs)
     times = np.zeros(n_steps + 1)
     snaps = np.empty((-(-n_steps // cfg.store_every) + 1, *coeffs.shape), np.complex128)
     stored = []
-    # diagnostics run over blocks of states with at most _BLOCK_BYTES of grid
+    # blocks of states with at most _BLOCK_BYTES of grid are unfolded, checked and stored at once
     rows = _block_rows(16 * math.prod(geometry.grid_shape))
-    block = np.empty((min(rows, n_steps + 1), *coeffs.shape), np.complex128)
+    block = np.zeros((min(rows, n_steps + 1), *coeffs.shape), np.complex128)
+    stack = view(block)
     diags = {}
     for k in range(n_steps + 1):
         if k:
             state = step(state)
-            coeffs = unfold(state)
             times[k] = k * dt
-        if k % cfg.store_every == 0 or k == n_steps:
-            snaps[len(stored)] = coeffs
-            stored.append(k)
-        block[k % len(block)] = coeffs
-        if k % len(block) == len(block) - 1 or k == n_steps:
-            start = k - k % len(block)
-            values = _block_diagnostics(geometry, block[: k - start + 1], cfg, mask)
+        stack[:, k % rows] = view(state)
+        if k % rows == rows - 1 or k == n_steps:
+            start = k - k % rows
+            states = unfold(block)[: k - start + 1]
+            if not start:
+                states[0] = coeffs  # the start itself, not the round trip of its fold
+            keep = [j for j in range(start, k + 1) if j % cfg.store_every == 0 or j == n_steps]
+            snaps[len(stored) : len(stored) + len(keep)] = states[[j - start for j in keep]]
+            stored += keep
+            values = _block_diagnostics(geometry, states, cfg, mask)
             for name, v in values.items():
                 diags.setdefault(name, np.empty(n_steps + 1))[start : k + 1] = v
             finite = np.isfinite(np.stack(list(values.values()))).all(axis=0)
@@ -338,24 +354,22 @@ def evolve(
 def evolve_ensemble(
     geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig, mode: str = "galerkin"
 ) -> np.ndarray:
-    """Batched endpoint evolution (no trajectory storage); coeffs has shape
-    (m, *box) and the same macro stepping as `evolve` is applied to all rows.
-    Raises ValueError if any row of the endpoint is not finite."""
+    """Batched endpoint evolution of coeffs (m, *box), no trajectory: the macro
+    steps of `evolve`, on plane pairs with the half phases of Strang steps
+    merged.  Raises ValueError if any row of the endpoint is not finite."""
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     a = np.array(coeffs, dtype=np.complex128)
-    fold, step, unfold = _flow_step(geometry, cfg, mode, dt, a)
+    fold, step, view, unfold = _flow_step(geometry, cfg, mode, dt, a)
     a = fold(a)
-    for _ in range(n_steps):
-        a = step(a)
+    for k in range(n_steps):
+        a = step(a, first=k == 0, last=k == n_steps - 1)
     a = unfold(a)
     # NaN and infinity persist under the flow, so the endpoint shows any overflow
     bad = ~np.isfinite(a).all(axis=geometry.axes)
     if bad.any():
-        raise ValueError(
-            f"the flow is not finite on {np.count_nonzero(bad)} of {bad.size} rows"
-            f" by t = {n_steps * dt:g}"
-        )
+        count = f"{np.count_nonzero(bad)} of {bad.size} rows"
+        raise ValueError(f"the flow is not finite on {count} by t = {n_steps * dt:g}")
     return a
 
 
@@ -383,7 +397,7 @@ def liouville_check(
         raise ValueError(f"phase-space dimension {dim} exceeds the cap of 20")
     cfg = FlowConfig(params, dt, dt, nonlinear_substeps=substeps, dispersion_symbol=symbol)
     base = np.array(probe, np.complex128).ravel()
-    fold, macro_step, unfold = _flow_step(geometry, cfg, "galerkin", dt, probe)
+    fold, macro_step, view, unfold = _flow_step(geometry, cfg, "galerkin", dt, probe)
 
     def step(x: np.ndarray) -> np.ndarray:
         a = base.copy()

@@ -23,23 +23,23 @@ The shifted-frame transform has two paths, chosen by the geometry.  A d = 1
 box with K M <= 2048 (K = 2N+1 modes, M = m_grid points; N <= 10 at the
 default oversampling) multiplies by the cached dense matrices
 `TorusGeometry.dft`, because at these sizes a zgemm costs less than numpy's
-FFT wrapper; every other box runs pocketfft.  Such a box also has
-`plane_basis`, the real K x M basis B = (1, sqrt2 cos mx, sqrt2 sin mx) of
-the true frame.  A plane pair (`fold_planes`) holds a state as two float64
-planes X0, X1 with u = scale (X0 + i X1) B, so that synthesis and analysis
-are one real product each; the dense Galerkin flow (`dynamics`) runs on them.
-The public pair stays on the zgemm: it takes and returns complex arrays, and
-a fold per call measured 4.5 times slower than the zgemm.
+FFT wrapper; every other box runs pocketfft.  A d = 1 box with K M <= 14,000
+(N <= 28; the 1024-row right-hand sides tie at N = 30) has `plane_basis`,
+the real K x M basis B = (1, sqrt2 cos mx, sqrt2 sin mx) of the true frame:
+a plane pair (`fold_planes`) holds a state as float64 planes X0, X1 with
+u = scale (X0 + i X1) B, so that the Galerkin flow (`dynamics`) synthesizes
+and analyses with one real product each.  The public pair keeps its path: a
+fold per call measured 4.5 times slower than the zgemm.
 
 `_dense` runs every dense product in stacked items of at most 2^18 real
 multiply-adds, a complex one counting as four: 2^16 // (K M) rows for the
 public pair (55 at N = 8), 2^18 // (K M) plane rows for the plane products
-(220).  OpenBLAS runs an item that small on the calling thread, so it never
-starts BLAS threads beside the ensemble's own; and it rounds a one-row
-product (a gemv) differently, so a lone row is computed as two.  A row's bits
-then depend on neither its batch nor its position in it, except in the plane
-analysis, (n, M) @ B^T, which rounds a row according to its position in its
-item (at N = 4 and 8, not at N = 10).
+(220 at N = 8, 60 at N = 16).  OpenBLAS runs an item that small on the
+calling thread, so it never starts BLAS threads beside the ensemble's own;
+and it rounds a one-row product (a gemv) differently, so a lone row is
+computed as two.  A row's bits then depend on neither its batch nor its
+position in it, except in the plane analysis, (2n, M) @ B^T, which rounds a
+row by its position (measured at N = 4 to 28, all but N = 10).
 """
 
 from __future__ import annotations
@@ -151,11 +151,11 @@ class TorusGeometry:
 
     @functools.cached_property
     def plane_basis(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(B, B^T) for a box with `dft`, read-only and C-contiguous (OpenBLAS
-        runs a transposed operand 1.7 times slower), else None.  Row n + N of
-        the K x M basis B of plane pairs samples sqrt2 sin(|n| x) for n < 0, 1
-        for n = 0 and sqrt2 cos(n x) for n > 0."""
-        if self.dft is None:
+        """(B, B^T) for a d = 1 box with K M <= _PLANE_SIZE, read-only and
+        C-contiguous (OpenBLAS runs a transposed operand 1.7 times slower),
+        else None.  Row n + N of the K x M basis B of plane pairs samples
+        sqrt2 sin(|n| x) for n < 0, 1 for n = 0 and sqrt2 cos(n x) for n > 0."""
+        if self.d != 1 or (2 * self.n_max + 1) * self.m_grid > _PLANE_SIZE:
             return None
         n = self.modes[:, None]
         x = self.x[np.abs(n) * np.arange(self.m_grid) % self.m_grid]
@@ -212,9 +212,10 @@ def _block_rows(row_bytes: int) -> int:
 # analysis runs first axis first and keeps bins 0..2N before the next pass.
 # A box with `dft` multiplies by its matrix instead.
 
-# the largest K M of a dense box, and the most real multiply-adds of one
-# stacked product item
+# the largest K M of a dense box and of a plane box, and the most real
+# multiply-adds of one stacked product item
 _DENSE_SIZE = 2048
+_PLANE_SIZE = 14000
 _GEMM_SIZE = 1 << 18
 
 

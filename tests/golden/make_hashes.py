@@ -7,9 +7,9 @@ Runs each named case of tests/test_golden.py (every case when none is named)
 at GNLS_THREADS=1 and 2, refuses to write when the two thread counts
 disagree, and leaves the entries of the other cases as they are.  Prints
 each artifact whose hash moved, as `case/artifact: old[:12] → new[:12]`
-("-" for an artifact that is new or gone) with the largest relative change
-of a number in it, then the count of unmoved ones, and records this
-machine's environment in hashes.json.
+("-" for an artifact that is new or gone) with the largest change of a
+number in it relative to its column's scale, then the count of unmoved
+ones, and records this machine's environment in hashes.json.
 """
 
 import json

@@ -149,41 +149,78 @@ class TestGalerkinSubstep:
         assert drift[1] / drift[2] >= 12.0
 
 
+class TestPublicGalerkinSubstep:
+    @pytest.mark.parametrize("n_max, n_cut, batch", [(8, 8, ()), (16, 9, (2,))])
+    def test_plane_box_takes_and_returns_box_coefficients(self, n_max, n_cut, batch):
+        # on a box with `plane_basis` the public kernel folds and unfolds
+        # inside: RK4 on the true-frame formula -2i gamma beta P_N[e^{beta
+        # |u|^2} u] (direct sum and quadrature) over box coefficients, and the
+        # modes outside the mask come back as given
+        geo = TorusGeometry(d=1, n_max=n_max)
+        assert geo.plane_basis is not None
+        p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=n_cut, geometry=geo)
+        mask = geo.euclid_mask(n_cut)
+        shape = (*batch, *geo.box_shape)
+        a = 0.3 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
+
+        def rhs(b):
+            u = direct_synthesis(geo, b * mask)
+            f = np.exp(p.beta * np.abs(u) ** 2) * u
+            return -2j * p.gamma * p.beta * geo.quad_weight() * direct_synthesis(geo, f, True) * mask
+
+        want, h = a, 0.1
+        for _ in range(2):
+            k1 = rhs(want)
+            k2 = rhs(want + 0.5 * h * k1)
+            k3 = rhs(want + 0.5 * h * k2)
+            k4 = rhs(want + h * k3)
+            want = want + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        got = galerkin_substep_array(geo, a, 0.2, p, 2, mask)
+        assert got.shape == a.shape and got is not a
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.array_equal(got[..., ~mask], a[..., ~mask])
+
+
+def unfold_plane_array(geometry, planes):
+    """The box coefficients of float64 planes (2, *shape)."""
+    pair = np.empty(planes.shape[1:], np.complex128)
+    _plane_view(pair)[...] = planes
+    return unfold_planes(geometry, pair)
+
+
 def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
     """The Galerkin substep written with a fresh array per operation, in the
     operation order `galerkin_substep_array` must keep bit for bit: on a box
-    with `plane_basis` B, plane pairs in real arithmetic (the state's
-    float64 planes, scaled and masked, times B, then the planes times B^T,
-    turned symplectically, and the RK4 stages combined as float64), on any
-    other the complex grid."""
+    with `plane_basis` B, the folded coefficients' float64 planes times
+    c P_N B (c = scale sqrt(beta)), the grid planes scaled by their
+    exponential times B^T kappa P_N, turned symplectically, the RK4 stages
+    combined as float64, and the unfolded result with the modes outside the
+    mask as given; on any other box the complex grid."""
+    planes = geometry.plane_basis is not None
+    if planes:
+        (basis, transpose), root = geometry.plane_basis, math.sqrt(params.beta)
+        synthesis = (geometry.scale * root * mask)[:, None] * basis
+        kappa = 2.0 * params.gamma * root / (geometry.scale * geometry.m_grid)
+        analysis = transpose * (kappa * mask)
 
-    def rhs(a):
-        if geometry.plane_basis is None:
-            values = to_grid_array(geometry, a * mask, shifted=True)
+    def rhs(x):
+        if not planes:
+            values = to_grid_array(geometry, x * mask, shifted=True)
             values = np.exp(params.beta * geometry.scale**2 * np.abs(values) ** 2) * values
             conv = from_grid_array(geometry, values, shifted=True)
             return -2j * params.gamma * params.beta * (conv * mask)
-        (basis, transpose), root = geometry.plane_basis, math.sqrt(params.beta)
-        x = _plane_view(a) * (geometry.scale * root * mask)
-        v = spectral._dense(x, basis, None)
-        g = spectral._dense(v * np.exp(v[0] ** 2 + v[1] ** 2), transpose, None)
-        kappa = 2.0 * params.gamma * root / (geometry.scale * geometry.m_grid) * mask
-        return np.stack([g[1] * kappa, g[0] * -kappa]).reshape(-1).view(np.complex128).reshape(a.shape)
+        v = spectral._dense(x, synthesis, None)
+        g = spectral._dense(v * np.exp(v[0] ** 2 + v[1] ** 2), analysis, None)
+        return np.stack([g[1], -g[0]])
 
-    # plane pairs combine in float64, complex boxes in complex arithmetic
-    real = (lambda z: z.view(np.float64)) if geometry.plane_basis is not None else (lambda z: z)
-
-    def slope(x):
-        return real(rhs(x.view(np.complex128)))
-
-    h, x = t / substeps, real(coeffs)
+    h, x = t / substeps, _plane_view(fold_planes(geometry, coeffs)).copy() if planes else coeffs
     for _ in range(substeps):
-        k1 = slope(x)
-        k2 = slope(x + 0.5 * h * k1)
-        k3 = slope(x + 0.5 * h * k2)
-        k4 = slope(x + h * k3)
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return x.view(np.complex128)
+    return np.where(mask, unfold_plane_array(geometry, x), coeffs) if planes else x
 
 
 def allocating_collocation(geometry, coeffs, t, params, gauge_shift):
@@ -231,8 +268,8 @@ class TestBufferedGalerkin:
                 for _ in range(2))
         fresh = galerkin_substep_array(geo, u, 0.2, p, 2, mask)
         assert fresh.tobytes() == allocating_galerkin(geo, u, 0.2, p, 2, mask).tobytes()
-        work = _galerkin_work(geo, shape)
-        for w in work:
+        work = _galerkin_work(geo, shape, p, mask)
+        for w in work[1:-1]:  # the buffers; the last entry holds views of the slopes
             w[...] = np.nan  # stale contents must never leak into a result
         first = galerkin_substep_array(geo, v, 0.2, p, 2, mask, work)
         again = galerkin_substep_array(geo, u, 0.2, p, 2, mask, work)
@@ -256,15 +293,17 @@ class TestBufferedGalerkin:
 
 class TestShiftedFrameKernels:
     # no mask in d = 1 at n_cut = n_max; a sharp cut below n_max, or in d = 2
-    # the Euclidean corners of the box, otherwise.  The dense d = 1 boxes run
-    # on plane pairs: the smallest one, a lone row, and at n_max = 10 a masked
-    # batch and 75 rows, whose 150 plane rows fill one float64 item of
-    # 2^18 // (21 * 84) = 148 rows and a two-row tail
+    # the Euclidean corners of the box, otherwise.  The d = 1 boxes up to
+    # n_max 26 run on plane pairs: the smallest one, a lone row, n_max 16, and
+    # at n_max = 10 a masked batch and 75 rows, whose 150 plane rows fill one
+    # float64 item of 2^18 // (21 * 84) = 148 rows and a two-row tail; the
+    # n_max 32 box, past the plane bound, runs the FFT
     @pytest.mark.parametrize(
         "d, n_max, n_cut, batch",
         [
             (1, 8, 8, ()), (1, 8, 5, (3,)), (1, 16, 16, (2,)), (2, 4, 4, (2,)), (2, 4, 2, ()),
             (1, 0, 0, ()), (1, 10, 10, (75,)), (1, 10, 6, (2,)), (1, 8, 8, (1,)),
+            (1, 32, 24, (2,)),
         ],
     )
     def test_galerkin_rhs_matches_the_true_frame_formula(self, d, n_max, n_cut, batch):
@@ -276,7 +315,9 @@ class TestShiftedFrameKernels:
         planes = geo.plane_basis is not None
         state = fold_planes(geo, a) if planes else a
         got = galerkin_rhs_array(geo, state, p, None if mask.all() else mask)
-        got = unfold_planes(geo, got) if planes else got
+        if planes:  # the derivative is the symplectic turn (G1, -G0) of G
+            g = _plane_view(got)
+            got = unfold_plane_array(geo, np.stack([g[1], -g[0]]))
         # -2i gamma beta P_N[e^{beta |u|^2} u], u = P_N a sampled by the direct sum
         # and analysed by the direct quadrature
         u = direct_synthesis(geo, a * mask)
@@ -340,6 +381,21 @@ class TestBlockDiagnostics:
         assert list(traj.diagnostics) == list(expected)
         for name, values in expected.items():
             assert traj.diagnostics[name].tobytes() == np.array(values).tobytes(), name
+
+    @pytest.mark.parametrize("mode", ["galerkin", "collocation"])
+    def test_snapshots_do_not_depend_on_the_block(self, mode, monkeypatch):
+        # store_every 4 over blocks of three states leaves the blocks of steps
+        # 9-11 and 21-23 without a stored step; the start is u0 itself
+        geo = TorusGeometry(d=1, n_max=8)
+        p = ModelParams(d=1, alpha=2.5, beta=0.3, gamma=1.0, n_cut=6, geometry=geo)
+        u0 = random_field(geo, GEN, decay=1.5, scale=0.3)
+        cfg = make_cfg(p, dt=1e-2, t_final=0.25, store_every=4)
+        whole = evolve(u0, cfg, mode)
+        monkeypatch.setattr(spectral, "_BLOCK_BYTES", 3 * 16 * geo.m_grid)
+        blocks = evolve(u0, cfg, mode)
+        assert list(blocks.snapshot_times) == [0.0, 0.04, 0.08, 0.12, 0.16, 0.2, 0.24, 0.25]
+        assert blocks.snapshots.tobytes() == whole.snapshots.tobytes()
+        assert blocks.snapshots[0].tobytes() == u0.tobytes()
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("mode", ["galerkin", "collocation"])

@@ -10,9 +10,9 @@ The SHA-256 of each artifact and the exit code live in
 the artifacts themselves under `tests/golden/artifacts/<case>/`.
 `python tests/golden/make_hashes.py [case ...]` rewrites the named entries of
 both (all of them when none is named).  Byte identity is the pass rule.  A
-failing case names each moved artifact, with the largest relative change of
-any number in it, in the format that script prints, and shows both
-environments: the dense d = 1 bits depend on the kernel OpenBLAS picks at run
+failing case names each moved artifact, with the largest change of a number
+in it relative to its column's scale, in the format that script prints, and
+shows both environments: the dense d = 1 bits depend on the kernel OpenBLAS picks at run
 time and every case on numpy's SIMD dispatch, so another CPU can move an
 artifact at rounding level with no defect.  A change that moves an artifact
 on purpose regenerates it and names the moved artifacts, their changes and
@@ -165,46 +165,63 @@ def environment() -> dict:
     }
 
 
-def _json_numbers(value):
+def _json_columns(value, key="", columns=None):
+    """The numbers of a JSON document grouped by the name of the key that
+    holds them (list entries under their list's key), in key order."""
+    columns = {} if columns is None else columns
     if isinstance(value, dict):
-        for key in sorted(value):
-            yield from _json_numbers(value[key])
+        for name in sorted(value):
+            _json_columns(value[name], name, columns)
     elif isinstance(value, list):
         for item in value:
-            yield from _json_numbers(item)
+            _json_columns(item, key, columns)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        yield float(value)
+        columns.setdefault(key, []).append(float(value))
+    return columns
 
 
-def artifact_numbers(path: str) -> np.ndarray:
-    """The numbers of an artifact in file order: a snapshot's float64 parts
-    (read by `load_snapshot`), the cells of a CSV that parse as floats, the
-    numbers of a JSON document in key order."""
+def artifact_columns(path: str) -> dict:
+    """The numbers of an artifact by column, each in file order: a snapshot's
+    float64 parts (read by `load_snapshot`) as one column, the cells of each
+    CSV column that parse as floats, the numbers of a JSON document by key."""
     if path.endswith(".gnls"):
-        return load_snapshot(path).view(np.float64).ravel()
+        return {"coefficients": load_snapshot(path).view(np.float64).ravel()}
     with open(path, newline="") as fh:
         if path.endswith(".json"):
-            return np.array(list(_json_numbers(json.load(fh))))
-        numbers = []
-        for cell in (cell for row in csv.reader(fh) for cell in row):
-            try:
-                numbers.append(float(cell))
-            except ValueError:
-                pass
-        return np.array(numbers)
+            columns = _json_columns(json.load(fh))
+        else:
+            rows = list(csv.reader(fh))
+            columns = {}
+            for row in rows[1:]:
+                for name, cell in zip(rows[0], row):
+                    try:
+                        number = float(cell)
+                    except ValueError:
+                        continue
+                    columns.setdefault(name, []).append(number)
+    return {name: np.array(numbers) for name, numbers in columns.items()}
 
 
 def largest_change(old_path: str, new_path: str) -> str:
-    """The largest relative change |new - old| / max(|old|, |new|) over the
-    numbers of two versions of an artifact (0 where both are equal, NaNs
-    included; inf where only one is NaN), as text."""
-    old, new = artifact_numbers(old_path), artifact_numbers(new_path)
-    if old.shape != new.shape:
-        return f"{old.size} → {new.size} numbers"
-    with np.errstate(invalid="ignore", divide="ignore"):
-        change = np.abs(new - old) / np.maximum(np.abs(old), np.abs(new))
-    change[(old == new) | (np.isnan(old) & np.isnan(new))] = 0.0
-    return f"largest relative change {np.nan_to_num(change, nan=np.inf).max(initial=0.0):.2g}"
+    """The largest change |new - old| of a number between two versions of an
+    artifact relative to its column's scale, the largest |old| or |new| in
+    that column (0 where both are equal, NaNs included; inf where only one
+    is NaN), as text naming the column: a residue such as the difference of
+    a conserved quantity reads against its column, not against itself."""
+    old, new = artifact_columns(old_path), artifact_columns(new_path)
+    worst, where = 0.0, None
+    for name in sorted(set(old) | set(new)):
+        a, b = old.get(name, np.empty(0)), new.get(name, np.empty(0))
+        if a.shape != b.shape:
+            return f"column {name}: {a.size} → {b.size} numbers"
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scale = np.nanmax(np.maximum(np.abs(a), np.abs(b)), initial=0.0)
+            change = np.abs(b - a) / scale
+        change[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+        change = np.nan_to_num(change, nan=np.inf).max(initial=0.0)
+        if where is None or change > worst:
+            worst, where = change, name
+    return f"largest change {worst:.2g} of the column scale ({where})"
 
 
 def moved_artifacts(name: str, before: dict, after: dict, out: str | None = None) -> list:
@@ -240,3 +257,19 @@ def test_artifacts_match_golden_hashes(name, threads, tmp_path, monkeypatch):
     if moved:
         moved += [f"generated on {golden['environment']}", f"running on {environment()}"]
         pytest.fail("\n".join(moved), pytrace=False)
+
+
+def test_largest_change_reads_against_the_column_scale(tmp_path):
+    # the mass row's diff is a rounding residue of a conserved quantity: its
+    # move from -9.6e-16 to -8.0e-16 is 1.6e-16 of a column whose scale is 4e-5
+    paths = []
+    for name, residue in (("old.csv", "-9.6e-16"), ("new.csv", "-8.0e-16")):
+        paths.append(os.path.join(tmp_path, name))
+        with open(paths[-1], "w") as fh:
+            fh.write(f"observable,mean0,diff\nmass,1.0,{residue}\nhamiltonian,10.0,-4e-05\n")
+    assert largest_change(*paths) == "largest change 4e-12 of the column scale (diff)"
+    for name, value in (("old.json", 1.0), ("new.json", float("nan"))):
+        paths.append(os.path.join(tmp_path, name))
+        with open(paths[-1], "w") as fh:
+            json.dump({"a": {"z": value}, "b": {"z": 2.0}}, fh)
+    assert largest_change(*paths[2:]) == "largest change inf of the column scale (z)"

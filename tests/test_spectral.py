@@ -242,8 +242,8 @@ class TestDenseTransforms:
 
 
 class TestPlanePairs:
-    """A box with `dft` also holds states as plane pairs in the real basis
-    B = (1, sqrt2 cos mx, sqrt2 sin mx) of `plane_basis`."""
+    """A d = 1 box up to the plane bound holds states as plane pairs in the
+    real basis B = (1, sqrt2 cos mx, sqrt2 sin mx) of `plane_basis`."""
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -270,14 +270,21 @@ class TestPlanePairs:
         np.testing.assert_allclose(basis @ transpose, geo.m_grid * np.eye(2 * n_max + 1),
                                    rtol=0, atol=1e-12 * geo.m_grid)
 
-    def test_basis_is_cached_read_only_and_only_on_dense_boxes(self):
+    def test_basis_is_cached_read_only_and_only_up_to_the_plane_bound(self):
         geo = TorusGeometry(d=1, n_max=8)
         basis, transpose = geo.plane_basis
         assert geo.plane_basis is geo.plane_basis and basis.shape == (17, 70)
         assert not basis.flags.writeable and not transpose.flags.writeable
         assert transpose.flags.c_contiguous and np.array_equal(transpose, basis.T)
-        for geo in (TorusGeometry(d=1, n_max=11), TorusGeometry(d=2, n_max=1)):
-            assert geo.dft is None and geo.plane_basis is None
+        # the basis does not depend on `dft`: d = 1 boxes with K M <= 14,000
+        # have it (N <= 28 at the default oversampling), others not
+        for n_max, m_grid, planes in ((11, 0, True), (16, 0, True), (28, 0, True),
+                                      (29, 0, False), (32, 0, False), (16, 500, False)):
+            geo = TorusGeometry(d=1, n_max=n_max, m_grid=m_grid)
+            assert (geo.plane_basis is not None) == planes
+            assert planes == ((2 * n_max + 1) * geo.m_grid <= 14000)
+            assert geo.dft is None
+        assert TorusGeometry(d=2, n_max=1).plane_basis is None
 
 
 class TestProjectors:

@@ -26,14 +26,15 @@ from hypothesis import strategies as st
 
 from gnls import FlowConfig, ModelParams, TorusGeometry, evolve, evolve_ensemble
 
-# (d, n_max, n_cut): d = 1 dense boxes (K M <= 2048) and FFT boxes, each with
+# (d, n_max, n_cut): d = 1 dense boxes (K M <= 2048), whose Galerkin flow runs
+# on plane pairs, and FFT boxes past the plane bound (K M > 14,000), each with
 # and without a mask below the box; in d = 2 the Euclidean mask always cuts
 # the corners of the box, and cuts deeper below n_max
 BOXES = {
     "d1-dense": (1, 4, 4),
     "d1-dense-masked": (1, 4, 2),
-    "d1-fft": (1, 12, 12),
-    "d1-fft-masked": (1, 12, 7),
+    "d1-fft": (1, 32, 32),
+    "d1-fft-masked": (1, 32, 17),
     "d2": (2, 3, 3),
     "d2-masked": (2, 3, 2),
 }
