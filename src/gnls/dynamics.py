@@ -6,32 +6,33 @@ The integrated system is the canonical flow of the energy
 
 whose exponential exp(-E) is exactly the density of the reweighted Gaussian
 ensemble (mode variance <n>^(-alpha), weight exp(-gamma V_beta)).  In mode
-coordinates the equations read da_n/dt = -2i dE/d(conj a_n), i.e. the linear
-part rotates each mode by exp(-2i t w_n) and the nonlinear part is
+coordinates the equations read da_n/dt = -2i dE/d(conj a_n): the linear part
+R(t) rotates each mode by exp(-2i t w_n), the nonlinear part N(t) integrates
 -2i gamma beta P_N[e^{beta |P_N u|^2} P_N u].  E and the mass are conserved,
 the flow preserves phase-space volume, and the weighted ensemble is invariant;
 any other relative normalization of the two parts conserves a different
 quadratic/potential combination and visibly breaks the invariance harness.
 
-The macro step composes an exact linear phase with a nonlinear substep:
-
-* collocation mode: the nonlinearity is u times a real function of |u|^2,
-  so on the grid the substep is the exact pointwise phase rotation
-  u -> exp(-2i gamma beta t e^{beta |u|^2}) u; both the grid modulus and the
-  quadrature potential are preserved exactly.
+* collocation mode: N(t) rotates u by exp(-2i gamma beta t e^{beta |u|^2}) on the grid.
 * galerkin mode: the projector destroys pointwise modulus conservation, so
-  the substep is integrated by a classical 4th-order one-step method; modes
+  N(t) is classical RK4, whose k1 + 2 k2 + 2 k3 + k4 is one `einsum`; modes
   above the cutoff are untouched.  On a d = 1 box with `plane_basis` B the
-  flow runs on plane pairs (`spectral.fold_planes`), folded once and
-  unfolded once per batch (in `evolve`, per diagnostics block): the grid
-  planes are one product with B, the right-hand side one with B^T (both with
-  the mask and the constants folded in), the linear phase rotates each
-  column.  The products run in items of 2^18 // (K M) plane rows, a lone row
-  as two; in an ensemble a row's bits may depend on its position in its
-  fixed 1024-row chunk, never on the thread count.
+  flow runs on plane pairs (`spectral.fold_planes`): the grid planes are one
+  product with B, the right-hand side one with B^T (both with the mask and
+  the constants folded in), R rotates each column.  beta |u|^2 is a square
+  and an add below _SQUARE_ROWS rows, else one `einsum`, with the same bits
+  (us at M = 132 for 1, 4, 16, 64, 256, 1024 rows: 0.8, 1.0, 3.0, 8.5, 34,
+  303 against 2.0, 2.5, 3.9, 9.2, 30, 149).  The products run in items of
+  2^18 // (K M) plane rows, a lone row as two; in an ensemble a row's bits
+  may depend on its position in its fixed 1024-row chunk, never on the
+  thread count.
 
-Strang composition linear(dt/2) o nonlinear(dt) o linear(dt/2) is second
-order; the Lie variant is provided for order checks.  Both modes commute with
+Every flow has one step shape (`_flow_step`): consecutive Strang steps
+R(dt/2) N(dt) R(dt/2) merge their inner half phases, so the first step is
+R(dt/2) N(dt), each later one R(dt) N(dt), and `close` applies the last
+R(dt/2) and unfolds, once at the end of `evolve_ensemble` and once per
+diagnostics block of unclosed states in `evolve`.  Strang is second order;
+Lie steps R(dt) N(dt), for order checks.  Both modes commute with
 conjugation reversing time, conj o Phi_h o conj = Phi_{-h}, with a constant
 phase and with grid translations, to rounding.  Galerkin mode is reversible,
 Phi_T o conj o Phi_T o conj = id, up to RK4's order-4 defect; collocation mode
@@ -41,7 +42,6 @@ the rotated grid values back to the box.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import os
@@ -57,6 +57,7 @@ from .spectral import (TorusGeometry, _GEMM_SIZE, _block_rows, _dense, _plane_vi
 SYMBOLS = ("bracket", "pure")
 SCHEMES = ("strang", "lie")
 MODES = ("galerkin", "collocation")
+_SQUARE_ROWS = 96  # see the module docstring
 
 
 @dataclass(frozen=True)
@@ -140,25 +141,31 @@ def collocation_phase_array(
 def _galerkin_work(geometry: TorusGeometry, shape: tuple, params: ModelParams, mask) -> tuple:
     """Work of the Galerkin substep for states of `shape`: on a box with
     `plane_basis` B the operators c P_N B and B^T kappa P_N (c = scale
-    sqrt(beta), kappa = 2 gamma sqrt(beta) / (scale M)), the (2n, K) views of
-    its buffers by id (unique while `work` holds them) and the grid planes
-    (2n, M), else None and the complex grid; then |u|^2, the RK4 slopes and
-    stage, and their planes (2, n K) with the turn's plane signs."""
-    batch, box = shape[: len(shape) - geometry.d], [np.empty(shape, complex) for _ in range(5)]
+    sqrt(beta), kappa = 2 gamma sqrt(beta) / (scale M)), the grid planes, the
+    (2n, K) views of the box buffers by id (unique while `work` holds them)
+    and below _SQUARE_ROWS rows the squares' buffer, else None and the complex
+    grid; then |u|^2, the box buffers (k1..k4, their sum, the stage) and what
+    `_rk4` reads (views, operands, signs, weights, a memo)."""
+    batch, box = shape[: len(shape) - geometry.d], np.empty((6, *shape), np.complex128)
+    views, floats = tuple(box), box.view(np.float64).reshape(6, -1)
     if geometry.plane_basis is None:
         grid = batch + geometry.grid_shape
-        return (None, np.empty(grid, np.complex128), np.empty(grid), *box, (*box, 1.0, box[:3]))
-    (basis, transpose), root, m = geometry.plane_basis, math.sqrt(params.beta), geometry.m_grid
-    cut = np.broadcast_to(1.0 if mask is None else mask, len(basis))
-    grid, absq = np.empty((2 * math.prod(batch), m)), np.empty(batch + (m,))
-    synthesis = (geometry.scale * root * cut)[:, None] * basis
-    analysis = transpose * (2.0 * params.gamma * root / (geometry.scale * m) * cut)
-    product = np.dot if grid.size * len(basis) <= _GEMM_SIZE else _dense  # np.dot: matmul's bits
-    flat = {id(k): k.view(np.float64).reshape(len(grid), -1) for k in box}
-    rk4 = [k.view(np.float64).reshape(2, -1) for k in box]
-    rk4 += [np.array([[1.0], [-1.0]]), [x[::-1] for x in rk4[:3]]]
-    ops = (synthesis, analysis, grid.reshape(2, *absq.shape), product, flat)
-    return (ops, grid, absq, *box, rk4)
+        ops, grid, absq, operands, sign = None, np.empty(grid, complex), np.empty(grid), views, 1.0
+    else:
+        (basis, transpose), root, m = geometry.plane_basis, math.sqrt(params.beta), geometry.m_grid
+        cut = np.broadcast_to(1.0 if mask is None else mask, len(basis))
+        grid, absq = np.empty((2 * math.prod(batch), m)), np.empty(batch + (m,))
+        synthesis = (geometry.scale * root * cut)[:, None] * basis
+        analysis = transpose * (2.0 * params.gamma * root / (geometry.scale * m) * cut)
+        product = np.dot if grid.size * len(basis) <= _GEMM_SIZE else _dense  # matmul's bits
+        square = np.empty((2, *absq.shape)) if len(grid) < 2 * _SQUARE_ROWS else None
+        square = None if square is None else (square, *square)  # with its planes' views
+        flat = {id(k): k.view(np.float64).reshape(len(grid), -1) for k in views}
+        ops = (synthesis, analysis, grid.reshape(2, *absq.shape), product, flat, square)
+        planes = [k.view(np.float64).reshape(2, -1) for k in views]
+        operands, sign = [x[::-1] for x in planes[:5]] + planes[5:], np.array([[1.0], [-1.0]])
+    rk4 = (views, floats[:4], floats[4], operands, sign, np.array([1.0, 2.0, 2.0, 1.0]), [None] * 4)
+    return (ops, grid, absq, box, rk4)
 
 
 def galerkin_rhs_array(
@@ -166,12 +173,13 @@ def galerkin_rhs_array(
     out: np.ndarray | None = None, work: tuple | None = None,
 ) -> np.ndarray:
     """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u] (`mask` None: P_N = 1), into
-    `out` when given, in `work` (from `_galerkin_work`; its grid and |u|^2 are
-    overwritten).  On a box with `plane_basis` the state is a plane pair
-    (`fold_planes`) and the result the pair G whose turn (G1, -G0) is the
-    derivative: the 2n planes times c P_N B are the grid planes of sqrt(beta)
-    u, which scaled by e^{beta |u|^2} and times B^T kappa P_N give G."""
-    ops, grid, absq = (work or _galerkin_work(geometry, coeffs.shape, params, mask))[:3]
+    `out` when given, in `work` (from `_galerkin_work`, held through the call;
+    its grid and |u|^2 are overwritten).  On a box with `plane_basis` the
+    state is a plane pair (`fold_planes`) and the result the pair G whose turn
+    (G1, -G0) is the derivative: the 2n planes times c P_N B are the grid
+    planes of sqrt(beta) u, which scaled by e^{beta |u|^2} and times
+    B^T kappa P_N give G."""
+    ops, grid, absq = (work := work or _galerkin_work(geometry, coeffs.shape, params, mask))[:3]
     out = np.empty(coeffs.shape, np.complex128) if out is None else out
     if ops is None:
         coeffs = coeffs if mask is None else np.multiply(coeffs, mask, out=out)
@@ -182,11 +190,15 @@ def galerkin_rhs_array(
         conv = from_grid_array(geometry, values, out=out, shifted=True)
         conv = conv if mask is None else np.multiply(conv, mask, out=conv)
         return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
-    synthesis, analysis, planes, product, flat = ops
+    synthesis, analysis, planes, product, flat, square = ops
     x = flat[id(coeffs)] if id(coeffs) in flat else coeffs.view(np.float64).reshape(len(grid), -1)
     g = flat[id(out)] if id(out) in flat else out.view(np.float64).reshape(x.shape)
     product(x, synthesis, grid)
-    np.einsum("i...,i...->...", planes, planes, out=absq)  # planes[0]**2 + planes[1]**2
+    if square is None:  # planes[0]**2 + planes[1]**2, as the square and add below
+        np.einsum("i...,i...->...", planes, planes, out=absq)
+    else:
+        np.square(planes, out=square[0])
+        np.add(square[1], square[2], out=absq)
     np.multiply(planes, np.exp(absq, out=absq), out=planes)
     product(grid, analysis, g)
     return out
@@ -195,21 +207,22 @@ def galerkin_rhs_array(
 def _rk4(geometry: TorusGeometry, a: np.ndarray, t: float, params: ModelParams, substeps: int,
          mask: np.ndarray | None, work: tuple) -> np.ndarray:
     """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`, in
-    place on its state `a`; plane pairs combine as float64 (a complex product
-    with a real factor would let a non-finite entry spoil another row)."""
-    k1, k2, k3, k4, stage, (x1, x2, x3, x4, xs, sign, turns) = work[3:]
-    h, xa = t / substeps, a if work[0] is None else a.view(np.float64).reshape(xs.shape)
-    half, full, sixth = np.multiply.outer((0.5 * h, h, h / 6.0), sign)
+    place on its state `a`; the slopes combine as float64 (a complex product
+    with a real factor would let a non-finite entry spoil another row), their
+    sum in one `einsum` with the bits of ((k1 + 2 k2) + 2 k3) + k4."""
+    views, slopes, total, (*turns, xs), sign, weights, memo = work[-1]
+    if memo[0] is not a:  # the memo holds `a` itself, so `is` cannot mistake a new state
+        memo[:2] = a, a if work[0] is None else a.view(np.float64).reshape(xs.shape)
+    if memo[2] != (h := t / substeps):
+        memo[2:] = h, np.multiply.outer((0.5 * h, h, h / 6.0), sign)
+    xa, (half, full, sixth) = memo[1], memo[3]
     for _ in range(substeps):
-        galerkin_rhs_array(geometry, a, params, mask, k1, work)
-        for c, x, k_next in zip((half, half, full), turns, (k2, k3, k4)):
+        galerkin_rhs_array(geometry, a, params, mask, views[0], work)
+        for c, x, k_next in zip((half, half, full), turns, views[1:4]):
             np.add(xa, np.multiply(c, x, out=xs), out=xs)
-            galerkin_rhs_array(geometry, stage, params, mask, k_next, work)
-        # a + (h/6)(((k1 + 2 k2) + 2 k3) + k4), summed in k1
-        np.add(x1, np.multiply(2.0, x2, out=x2), out=x1)
-        np.add(x1, np.multiply(2.0, x3, out=x3), out=x1)
-        np.add(x1, x4, out=x1)
-        np.add(xa, np.multiply(sixth, turns[0], out=xs), out=xa)
+            galerkin_rhs_array(geometry, views[5], params, mask, k_next, work)
+        np.einsum("i,i...->...", weights, slopes, out=total)
+        np.add(xa, np.multiply(sixth, turns[4], out=xs), out=xa)
     return a
 
 
@@ -232,13 +245,13 @@ def _flow_step(
     geometry: TorusGeometry, cfg: FlowConfig, mode: str, dt: float, coeffs: np.ndarray,
     gauge_shift: bool = False,
 ):
-    """(fold, step, view, unfold) for states shaped like `coeffs`, made once
+    """(fold, step, view, close) for states shaped like `coeffs`, made once
     after the pre-flight check that exp(beta |Pi_N u|^2) of `coeffs` is
-    finite.  `step` is the macro step of `cfg` and may overwrite its state;
-    `fold` makes a state of box coefficients and `unfold` takes it back (in
-    Galerkin mode on a box with `plane_basis` a plane pair, whose `view` is
-    its planes; else the coefficients, viewed with a length-one axis).  On
-    plane pairs `first`/`last` False merge the half phases of Strang steps."""
+    finite.  `fold` makes a state of box coefficients (in Galerkin mode on a
+    box with `plane_basis` a plane pair, whose `view` is its planes, else a
+    copy, viewed with a length-one axis); `step(a, first)` applies R(dt/2),
+    later R(dt) (Lie: always R(dt)), then N(dt), in place where it can;
+    `close(a, out)` applies R(dt/2) in place (Lie: nothing) and unfolds."""
     p = cfg.params
     mask = geometry.euclid_mask(p.n_cut)
     absq = geometry.scale**2 * np.abs(to_grid_array(geometry, coeffs * mask, shifted=True)) ** 2
@@ -248,37 +261,40 @@ def _flow_step(
     mask = None if mask.all() else mask  # P_N = 1 on the box, as in d = 1 at n_cut = n_max
     omega = dispersion_weights(geometry, p.alpha, cfg.dispersion_symbol)
     strang = cfg.scheme == "strang"
-    # Strang: linear(dt/2) o nonlinear(dt) o linear(dt/2); Lie: nonlinear o linear
-    phases = [np.exp(-2j * tau * omega) for tau in ((0.5 * dt, dt) if strang else (dt,))]
+    half, full = (np.exp(-2j * tau * omega) for tau in (0.5 * dt, dt))
     work = (_galerkin_work(geometry, coeffs.shape, p, mask) if mode == "galerkin"
             else _collocation_work(geometry, coeffs.shape))
-    planes = mode == "galerkin" and geometry.plane_basis is not None
-    if not planes:
-        fold, view, unfold = (lambda a: a), (lambda a: a[None]), (lambda a: a)
-        rotate = lambda a, full: a * phases[0]
+    if mode == "collocation" or geometry.plane_basis is None:
+        fold, view, unfold = (lambda a: np.array(a, np.complex128)), (lambda a: a[None]), None
+        rotate = advance = lambda a, phase=full: np.multiply(a, phase, out=a)
     else:
-        fold, unfold = (functools.partial(f, geometry) for f in (fold_planes, unfold_planes))
-        # (c + i s)(X0 + i X1) = (c X0 - s X1) + i (s X0 + c X1) per column, in
-        # place, with the factors laid out over the rows (broadcast, they cost double)
-        rows = [np.broadcast_to(ph, coeffs.shape).reshape(-1) for ph in phases]
-        factors = [(r.real.copy(), np.multiply.outer([-1.0, 1.0], r.imag)) for r in rows]
-        view, (y, z) = _plane_view, work[-1][:2]
+        fold, view, unfold = functools.partial(fold_planes, geometry), _plane_view, unfold_planes
+        # (c + i s)(X0 + i X1) = (c X0 - s X1) + i (s X0 + c X1) per column, in place
+        rows = np.broadcast_to(full, coeffs.shape).reshape(-1)  # R(dt) laid out: half the cost
+        cos, turn = rows.real.copy(), np.multiply.outer([-1.0, 1.0], rows.imag)
+        (y, z), memo = (x[::-1] for x in work[-1][3][:2]), work[-1][-1]
 
-        def rotate(a: np.ndarray, full: bool) -> np.ndarray:
-            (cos, turn), x = factors[full], a.view(np.float64).reshape(y.shape)
+        def rotate(a: np.ndarray, phase: np.ndarray) -> np.ndarray:
+            x, sin = _plane_view(a), np.multiply.outer([-1.0, 1.0], phase.imag)
+            np.add(x * phase.real, x[::-1] * sin.reshape(2, *[1] * (a.ndim - 1), -1), out=x)
+            return a
+
+        def advance(a: np.ndarray) -> np.ndarray:  # the state's view once `_rk4` has seen it
+            x = memo[1] if memo[0] is a else a.view(np.float64).reshape(y.shape)
             np.add(np.multiply(x, cos, out=y), np.multiply(x[::-1], turn, out=z), out=x)
             return a
 
-    def step(a: np.ndarray, first: bool = True, last: bool = True) -> np.ndarray:
-        if first or not (planes and strang):
-            a = rotate(a, False)
+    def step(a: np.ndarray, first: bool) -> np.ndarray:
+        a = rotate(a, half if strang else full) if first else advance(a)
         if mode == "collocation":
-            a = collocation_phase_array(geometry, a, dt, p, gauge_shift, work)
-        else:
-            a = _rk4(geometry, a, dt, p, cfg.nonlinear_substeps, mask, work)
-        return rotate(a, planes and not last) if strang else a
+            return collocation_phase_array(geometry, a, dt, p, gauge_shift, work)
+        return _rk4(geometry, a, dt, p, cfg.nonlinear_substeps, mask, work)
 
-    return fold, step, view, unfold
+    def close(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        a = rotate(a, half) if strang else a
+        return a if unfold is None else unfold(geometry, a, out)
+
+    return fold, step, view, close
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +302,9 @@ def _flow_step(
 # ---------------------------------------------------------------------------
 
 
-def _block_diagnostics(
-    geometry: TorusGeometry, block: np.ndarray, cfg: FlowConfig, mask: np.ndarray
-) -> dict:
+def _block_diagnostics(geometry: TorusGeometry, block: np.ndarray, cfg: FlowConfig) -> dict:
     p = cfg.params
-    v = potential_array(geometry, block * mask, p.beta)
+    v = potential_array(geometry, block * geometry.euclid_mask(p.n_cut), p.beta)
     # the conserved energy of the flow (= the measure exponent), carrying the
     # full quadratic sum rather than the half of the invariance observable
     kin = kinetic_sum_array(geometry, block, p.alpha, cfg.dispersion_symbol)
@@ -316,32 +330,30 @@ def evolve(
         raise ValueError(f"u0 has shape {np.shape(u0)}, not the box {geometry.box_shape}")
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
-    mask = geometry.euclid_mask(cfg.params.n_cut)
     coeffs = np.array(u0, np.complex128)
-    fold, step, view, unfold = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
+    fold, step, view, close = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
     state = fold(coeffs)
-    times = np.zeros(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt + 0.0  # + 0.0: a backward run starts at +0.0 too
     snaps = np.empty((-(-n_steps // cfg.store_every) + 1, *coeffs.shape), np.complex128)
     stored = []
-    # blocks of states with at most _BLOCK_BYTES of grid are unfolded, checked and stored at once
+    # blocks of unclosed states with at most _BLOCK_BYTES of grid are closed and stored at once
     rows = _block_rows(16 * math.prod(geometry.grid_shape))
     block = np.zeros((min(rows, n_steps + 1), *coeffs.shape), np.complex128)
-    stack = view(block)
+    closed, stack = np.empty_like(block), view(block)
     diags = {}
     for k in range(n_steps + 1):
         if k:
-            state = step(state)
-            times[k] = k * dt
+            state = step(state, k == 1)
         stack[:, k % rows] = view(state)
         if k % rows == rows - 1 or k == n_steps:
             start = k - k % rows
-            states = unfold(block)[: k - start + 1]
+            states = close(block, closed)[: k - start + 1]
             if not start:
                 states[0] = coeffs  # the start itself, not the round trip of its fold
             keep = [j for j in range(start, k + 1) if j % cfg.store_every == 0 or j == n_steps]
             snaps[len(stored) : len(stored) + len(keep)] = states[[j - start for j in keep]]
             stored += keep
-            values = _block_diagnostics(geometry, states, cfg, mask)
+            values = _block_diagnostics(geometry, states, cfg)
             for name, v in values.items():
                 diags.setdefault(name, np.empty(n_steps + 1))[start : k + 1] = v
             finite = np.isfinite(np.stack(list(values.values()))).all(axis=0)
@@ -355,16 +367,16 @@ def evolve_ensemble(
     geometry: TorusGeometry, coeffs: np.ndarray, cfg: FlowConfig, mode: str = "galerkin"
 ) -> np.ndarray:
     """Batched endpoint evolution of coeffs (m, *box), no trajectory: the macro
-    steps of `evolve`, on plane pairs with the half phases of Strang steps
-    merged.  Raises ValueError if any row of the endpoint is not finite."""
+    steps of `evolve`, closed once at the end.  Raises ValueError if any row
+    of the endpoint is not finite."""
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     a = np.array(coeffs, dtype=np.complex128)
-    fold, step, view, unfold = _flow_step(geometry, cfg, mode, dt, a)
-    a = fold(a)
+    fold, step, view, close = _flow_step(geometry, cfg, mode, dt, a)
+    state = fold(a)
     for k in range(n_steps):
-        a = step(a, first=k == 0, last=k == n_steps - 1)
-    a = unfold(a)
+        state = step(state, k == 0)
+    a = close(state) if n_steps else a  # no step, no closing half phase
     # NaN and infinity persist under the flow, so the endpoint shows any overflow
     bad = ~np.isfinite(a).all(axis=geometry.axes)
     if bad.any():
@@ -390,19 +402,18 @@ def liouville_check(
     Dimension is capped at 20 for finite-difference conditioning.
     """
     geometry = params.geometry
-    mask = geometry.euclid_mask(params.n_cut)
-    idx = np.flatnonzero(mask.ravel())
+    idx = np.flatnonzero(geometry.euclid_mask(params.n_cut).ravel())
     dim = 2 * idx.size
     if dim > 20:
         raise ValueError(f"phase-space dimension {dim} exceeds the cap of 20")
     cfg = FlowConfig(params, dt, dt, nonlinear_substeps=substeps, dispersion_symbol=symbol)
     base = np.array(probe, np.complex128).ravel()
-    fold, macro_step, view, unfold = _flow_step(geometry, cfg, "galerkin", dt, probe)
+    fold, macro_step, view, close = _flow_step(geometry, cfg, "galerkin", dt, probe)
 
     def step(x: np.ndarray) -> np.ndarray:
         a = base.copy()
         a[idx] = x[: idx.size] + 1j * x[idx.size :]
-        a = unfold(macro_step(fold(a.reshape(geometry.box_shape))))
+        a = close(macro_step(fold(a.reshape(geometry.box_shape)), True))
         flat = a.ravel()[idx]
         return np.concatenate([flat.real, flat.imag])
 
@@ -439,8 +450,7 @@ def truncation_convergence(
     geometry = cfg.params.geometry
     if geometry.n_max < n_ref:
         raise ValueError("geometry too small for the reference cutoff")
-    ref_cfg = replace(cfg, params=replace(cfg.params, n_cut=n_ref))
-    ref = evolve(u0, ref_cfg, mode).snapshots
+    ref = evolve(u0, replace(cfg, params=replace(cfg.params, n_cut=n_ref)), mode).snapshots
     errors = []
     for n in n_ladder:
         cfg_n = replace(cfg, params=replace(cfg.params, n_cut=int(n)))
@@ -463,17 +473,15 @@ def truncation_convergence(
 def trajectory_to_csv(traj: Trajectory, path, snapshot_dir=None) -> None:
     """CSV `t, mass, hamiltonian, potential, h_s_norm...` plus optional
     per-snapshot binary field files."""
-    names = list(traj.diagnostics.keys())
-    ordered = ["mass", "hamiltonian", "potential"] + [
-        n for n in names if n not in ("mass", "hamiltonian", "potential")
-    ]
+    first = ["mass", "hamiltonian", "potential"]
+    ordered = first + [n for n in traj.diagnostics if n not in first]
     cols = [traj.times] + [traj.diagnostics[n] for n in ordered]
+    row = ",".join(["%.17g"] * len(cols)) + "\r\n"  # the bytes of csv.writer, a row at a time
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + ordered)
-        # floats from tolist format as np.float64 does; one block's strings live at a time
+        fh.write(",".join(["t"] + ordered) + "\r\n")
+        # floats from tolist format as np.float64 does; one block's string lives at a time
         for lo in range(0, len(traj.times), 256):
-            writer.writerows(zip(*([f"{x:.17g}" for x in c[lo : lo + 256].tolist()] for c in cols)))
+            fh.write("".join(row % r for r in zip(*(c[lo : lo + 256].tolist() for c in cols))))
     if snapshot_dir is not None:
         os.makedirs(snapshot_dir, exist_ok=True)
         for t, snap in zip(traj.snapshot_times, traj.snapshots):

@@ -300,12 +300,13 @@ def fold_planes(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
     return pair
 
 
-def unfold_planes(geometry: TorusGeometry, pair: np.ndarray) -> np.ndarray:
-    """The box coefficients of a `fold_planes` pair, by the adjoint map."""
+def unfold_planes(geometry: TorusGeometry, pair: np.ndarray, out=None) -> np.ndarray:
+    """The box coefficients of a `fold_planes` pair, by the adjoint map, into
+    `out` (complex128 of the pair's shape, not the pair) when given."""
     w, w_rev = _fold_weights(geometry)
-    z = np.empty(pair.shape, np.complex128)
-    z.real, z.imag = _plane_view(pair)
-    return np.conj(w) * z + np.conj(w_rev[::-1]) * z[..., ::-1]
+    z = np.empty(pair.shape, np.complex128) if out is None else out
+    z.real, z.imag = _plane_view(pair)  # the reversed product first, then z's own in place
+    return np.add(np.conj(w_rev[::-1]) * z[..., ::-1], np.multiply(np.conj(w), z, out=z), out=z)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from gnls import (
 )
 from gnls import spectral
 from gnls.dynamics import (
+    Trajectory,
     _collocation_work,
     _galerkin_work,
     galerkin_rhs_array,
@@ -505,6 +508,24 @@ class TestEvolve:
         assert 0.7 <= slope <= 1.3
 
 
+    # a plane box, a d = 1 box past the plane bound (the FFT's) and a d = 2 box
+    @pytest.mark.parametrize(
+        "d, n_max, mode", [(1, 16, "galerkin"), (1, 32, "galerkin"), (2, 4, "collocation")]
+    )
+    @pytest.mark.parametrize("scheme", ["strang", "lie"])
+    def test_evolve_takes_the_steps_of_evolve_ensemble(self, d, n_max, mode, scheme):
+        # both run every macro step in the one step shape of `_flow_step`:
+        # `evolve` closes its states a diagnostics block at a time, the
+        # ensemble once at the end
+        geo = TorusGeometry(d=d, n_max=n_max)
+        assert (geo.plane_basis is not None) == (n_max == 16)
+        p = ModelParams(d=d, alpha=2.5, beta=0.3, gamma=1.0, n_cut=n_max - 1, geometry=geo)
+        u0 = random_field(geo, GEN, decay=1.5, scale=0.3)
+        cfg = make_cfg(p, dt=1e-2, t_final=0.1, scheme=scheme)
+        last = evolve(u0, cfg, mode).snapshots[-1]
+        assert last.tobytes() == evolve_ensemble(geo, u0[None], cfg, mode)[0].tobytes()
+
+
 class TestLiouville:
     def test_unitary_when_linear(self):
         geo = TorusGeometry(d=1, n_max=2)
@@ -579,3 +600,17 @@ class TestExport:
         assert lines[0].startswith("t,mass,hamiltonian,potential")
         assert len(lines) == len(traj.times) + 1
         assert len(list((tmp_path / "snaps").iterdir())) == len(traj.snapshots)
+
+    def test_trajectory_csv_bytes_match_csv_writer(self, tmp_path):
+        # every value formatted as f"{x:.17g}" by csv.writer, extremes included
+        values = [-0.0, 5e-324, 1e308, np.nan, np.inf, -np.inf, 0.1, -2.5e-300]
+        times = np.arange(600) * 0.01
+        cols = [np.resize(np.roll(values, k), 600) for k in range(4)]
+        names = ["mass", "hamiltonian", "potential", "h0.5_norm"]
+        traj = Trajectory(times, np.zeros((1, 3), complex), times[:1], dict(zip(names, cols)))
+        trajectory_to_csv(traj, tmp_path / "traj.csv")
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["t", *names])
+        writer.writerows([f"{x:.17g}" for x in row] for row in zip(times, *cols))
+        assert (tmp_path / "traj.csv").read_bytes() == want.getvalue().encode()

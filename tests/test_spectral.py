@@ -19,7 +19,7 @@ from gnls import (
     sobolev_norm_array,
     to_grid_array,
 )
-from gnls.spectral import TWO_PI, _plane_view, fold_planes, unfold_planes
+from gnls.spectral import TWO_PI, _fold_weights, _plane_view, fold_planes, unfold_planes
 
 from conftest import direct_synthesis, from_modes, random_field
 
@@ -260,6 +260,14 @@ class TestPlanePairs:
         assert pair.shape == a.shape and pair.dtype == np.complex128
         assert np.max(np.abs(unfold_planes(geo, pair) - a)) <= 1e-15 * np.max(np.abs(a))
         planes = _plane_view(pair)
+        # with out=, the adjoint map's bits land in out, written with fresh arrays here
+        w, w_rev = _fold_weights(geo)
+        z = np.empty(shape, np.complex128)
+        z.real, z.imag = planes
+        want = np.conj(w) * z + np.conj(w_rev[::-1]) * z[..., ::-1]
+        out = np.full(shape, np.nan, np.complex128)
+        assert unfold_planes(geo, pair, out=out) is out
+        assert out.tobytes() == want.tobytes() == unfold_planes(geo, pair).tobytes()
         mass = np.sum(np.abs(a) ** 2, axis=-1)
         np.testing.assert_allclose(np.sum(planes**2, axis=(0, -1)), mass, rtol=1e-14, atol=0)
         # u = scale (X0 + i X1) B in the true frame, and the basis is orthogonal
