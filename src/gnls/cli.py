@@ -124,7 +124,7 @@ def main(argv=None) -> int:
         print(
             f"gnls: grid d = {geo.d}, n_max = {geo.n_max}, m_grid = {geo.m_grid}, "
             f"oversampling = {geo.oversampling:.6g}, "
-            f"transform = {'fft' if geo.dft is None else 'dense'}",
+            f"galerkin = {'fft' if geo.plane_basis is None else 'planes'}",
             file=sys.stderr,
         )
     return result.exit_code

@@ -22,9 +22,15 @@ quadratic/potential combination and visibly breaks the invariance harness.
   the constants folded in), R rotates each column.  beta |u|^2 is a square
   and an add below _SQUARE_ROWS rows, else one `einsum`, with the same bits
   (us at M = 132 for 1, 4, 16, 64, 256, 1024 rows: 0.8, 1.0, 3.0, 8.5, 34,
-  303 against 2.0, 2.5, 3.9, 9.2, 30, 149).  The products run in items of
-  2^18 // (K M) plane rows, a lone row as two; in an ensemble a row's bits
-  may depend on its position in its fixed 1024-row chunk, never on the
+  303 against 2.0, 2.5, 3.9, 9.2, 30, 149).  `_dense` runs the two
+  products in stacked items of at most 2^18 multiply-adds, 2^18 // (K M)
+  plane rows (220 at N = 8, 60 at N = 16): OpenBLAS runs an item that small
+  on the calling thread, so it never starts BLAS threads beside the
+  ensemble's own, and it rounds a one-row product (a gemv) differently, so a
+  lone row is computed as two.  A row's bits then do not depend on its
+  batch, except in the analysis, (2n, M) @ B^T, which rounds a row by its
+  position (measured at N = 4 to 28, all but N = 10): in an ensemble a row's
+  bits may depend on its position in its fixed 1024-row chunk, never on the
   thread count.
 
 Every flow has one step shape (`_flow_step`): consecutive Strang steps
@@ -50,14 +56,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import ModelParams, kinetic_sum_array, mass_array, potential_array
-from .spectral import (TorusGeometry, _GEMM_SIZE, _block_rows, _dense, _plane_view,
-                       dispersion_weights, fold_planes, from_grid_array, save_snapshot,
-                       sobolev_norm_array, to_grid_array, unfold_planes)
+from .spectral import (TorusGeometry, _block_rows, _plane_view, dispersion_weights, fold_planes,
+                       from_grid_array, save_snapshot, sobolev_norm_array, to_grid_array,
+                       unfold_planes)
 
 SYMBOLS = ("bracket", "pure")
 SCHEMES = ("strang", "lie")
 MODES = ("galerkin", "collocation")
 _SQUARE_ROWS = 96  # see the module docstring
+_GEMM_SIZE = 1 << 18  # the most multiply-adds of one plane product item
 
 
 @dataclass(frozen=True)
@@ -138,6 +145,23 @@ def collocation_phase_array(
     return from_grid_array(geometry, values, np.empty_like(coeffs, np.complex128), shifted=True)
 
 
+def _dense(x: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """x @ matrix over the last axis of float64 operands, into the
+    C-contiguous `out`, as stacked products of at most _GEMM_SIZE
+    multiply-adds each and never of one row."""
+    flat, dst = x.reshape(-1, len(matrix)), out.reshape(-1, matrix.shape[1])
+    n, rows = len(flat), _GEMM_SIZE // matrix.size
+    full = n - n % rows
+    if full:
+        np.matmul(flat[:full].reshape(-1, rows, len(matrix)), matrix,
+                  out=dst[:full].reshape(-1, rows, dst.shape[1]))
+    if n - full == 1:
+        dst[full:] = np.matmul(flat[full:].repeat(2, axis=0), matrix)[:1]
+    elif n > full:
+        np.matmul(flat[full:], matrix, out=dst[full:])
+    return out
+
+
 def _galerkin_work(geometry: TorusGeometry, shape: tuple, params: ModelParams, mask) -> tuple:
     """Work of the Galerkin substep for states of `shape`: on a box with
     `plane_basis` B the operators c P_N B and B^T kappa P_N (c = scale
@@ -178,7 +202,7 @@ def galerkin_rhs_array(
     state is a plane pair (`fold_planes`) and the result the pair G whose turn
     (G1, -G0) is the derivative: the 2n planes times c P_N B are the grid
     planes of sqrt(beta) u, which scaled by e^{beta |u|^2} and times
-    B^T kappa P_N give G."""
+    B^T kappa P_N give G; there an `out` must be C-contiguous (ValueError)."""
     ops, grid, absq = (work := work or _galerkin_work(geometry, coeffs.shape, params, mask))[:3]
     out = np.empty(coeffs.shape, np.complex128) if out is None else out
     if ops is None:
@@ -191,6 +215,8 @@ def galerkin_rhs_array(
         conv = conv if mask is None else np.multiply(conv, mask, out=conv)
         return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
     synthesis, analysis, planes, product, flat, square = ops
+    if not out.flags.c_contiguous:  # its float64 view would be a copy
+        raise ValueError("a plane pair's `out` must be C-contiguous")
     x = flat[id(coeffs)] if id(coeffs) in flat else coeffs.view(np.float64).reshape(len(grid), -1)
     g = flat[id(out)] if id(out) in flat else out.view(np.float64).reshape(x.shape)
     product(x, synthesis, grid)

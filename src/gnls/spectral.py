@@ -15,31 +15,20 @@ The grid transform pair has two frames: grid values u(x_j), or with
 There box index k is FFT bin k: the synthesis is a zero-padded np.fft.ifft and
 the analysis keeps bins 0..2N.  The kernels that read only |u|^2 = scale^2 |v|^2
 or form u f(|u|^2) work in the shifted frame: the collocation substep, the
-Galerkin one on FFT boxes, the flow's pre-flight check, the potential and the
-gauge frequency.  That is exact by gauge covariance: the unimodular factor
-e^{i N(x_1+..+x_d)} on u multiplies u f(|u|^2) by the same factor.
+Galerkin one on boxes without planes, the flow's pre-flight check, the
+potential and the gauge frequency.  That is exact by gauge covariance: the
+unimodular factor e^{i N(x_1+..+x_d)} on u multiplies u f(|u|^2) by the same
+factor.
 
-The shifted-frame transform has two paths, chosen by the geometry.  A d = 1
-box with K M <= 2048 (K = 2N+1 modes, M = m_grid points; N <= 10 at the
-default oversampling) multiplies by the cached dense matrices
-`TorusGeometry.dft`, because at these sizes a zgemm costs less than numpy's
-FFT wrapper; every other box runs pocketfft.  A d = 1 box with K M <= 14,000
-(N <= 28; the 1024-row right-hand sides tie at N = 30) has `plane_basis`,
-the real K x M basis B = (1, sqrt2 cos mx, sqrt2 sin mx) of the true frame:
-a plane pair (`fold_planes`) holds a state as float64 planes X0, X1 with
-u = scale (X0 + i X1) B, so that the Galerkin flow (`dynamics`) synthesizes
-and analyses with one real product each.  The public pair keeps its path: a
-fold per call measured 4.5 times slower than the zgemm.
-
-`_dense` runs every dense product in stacked items of at most 2^18 real
-multiply-adds, a complex one counting as four: 2^16 // (K M) rows for the
-public pair (55 at N = 8), 2^18 // (K M) plane rows for the plane products
-(220 at N = 8, 60 at N = 16).  OpenBLAS runs an item that small on the
-calling thread, so it never starts BLAS threads beside the ensemble's own;
-and it rounds a one-row product (a gemv) differently, so a lone row is
-computed as two.  A row's bits then depend on neither its batch nor its
-position in it, except in the plane analysis, (2n, M) @ B^T, which rounds a
-row by its position (measured at N = 4 to 28, all but N = 10).
+Every box runs the grid pair on pocketfft, which transforms a batch's rows
+one at a time, so a row's bits depend on neither its batch nor its position
+in it.  A d = 1 box with K M <= 14,000 (K = 2N+1 modes, M = m_grid points;
+N <= 28 at the default oversampling, and the 1024-row right-hand sides tie
+at N = 30) also has `plane_basis`, the real K x M basis B = (1, sqrt2 cos
+mx, sqrt2 sin mx) of the true frame, which serves only the Galerkin flow
+(`dynamics`): a plane pair (`fold_planes`) holds a state as float64 planes
+X0, X1 with u = scale (X0 + i X1) B, so that the flow synthesizes and
+analyses with one real product each.
 """
 
 from __future__ import annotations
@@ -136,20 +125,6 @@ class TorusGeometry:
         return 1.0 / math.prod(self.grid_shape)
 
     @functools.cached_property
-    def dft(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The shifted frame's dense synthesis matrix (K x M, entries
-        e^{2pi i (k j mod M)/M}) and analysis matrix (M x K, its conjugate
-        transpose over M), read-only, for a d = 1 box with K M <= _DENSE_SIZE;
-        None for a box that the FFT transforms."""
-        k, m = 2 * self.n_max + 1, self.m_grid
-        if self.d != 1 or k * m > _DENSE_SIZE:
-            return None
-        synthesis = np.exp(1j * self.x[np.arange(k)[:, None] * np.arange(m) % m])
-        analysis = np.ascontiguousarray(synthesis.conj().T) * self.norm
-        synthesis.flags.writeable = analysis.flags.writeable = False
-        return synthesis, analysis
-
-    @functools.cached_property
     def plane_basis(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(B, B^T) for a d = 1 box with K M <= _PLANE_SIZE, read-only and
         C-contiguous (OpenBLAS runs a transposed operand 1.7 times slower),
@@ -210,37 +185,6 @@ def _block_rows(row_bytes: int) -> int:
 # One 1d FFT per torus axis in the shifted frame.  The synthesis runs last axis
 # first, so its first pass transforms only the 2N+1 occupied rows; the
 # analysis runs first axis first and keeps bins 0..2N before the next pass.
-# A box with `dft` multiplies by its matrix instead.
-
-# the largest K M of a dense box and of a plane box, and the most real
-# multiply-adds of one stacked product item
-_DENSE_SIZE = 2048
-_PLANE_SIZE = 14000
-_GEMM_SIZE = 1 << 18
-
-
-def _dense(x: np.ndarray, matrix: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """x @ matrix over the last axis, complex or float64, into `out` when
-    given, as stacked products of at most _GEMM_SIZE real multiply-adds each
-    (a complex one counts as four) and never of one row."""
-    flat = x.reshape(-1, matrix.shape[0])
-    n, width = len(flat), matrix.shape[1]
-    contiguous = out is not None and out.flags.c_contiguous
-    res = out if contiguous else np.empty(x.shape[:-1] + (width,), matrix.dtype)
-    dst = res.reshape(n, width)
-    rows = _GEMM_SIZE // (matrix.size * (4 if matrix.dtype.kind == "c" else 1))
-    full = n - n % rows
-    if full:
-        np.matmul(flat[:full].reshape(-1, rows, len(matrix)), matrix,
-                  out=dst[:full].reshape(-1, rows, width))
-    if n - full == 1:
-        dst[full:] = np.matmul(flat[full:].repeat(2, axis=0), matrix)[:1]
-    elif n > full:
-        np.matmul(flat[full:], matrix, out=dst[full:])
-    if out is None or contiguous:
-        return res
-    out[...] = res
-    return out
 
 
 def to_grid_array(
@@ -250,12 +194,9 @@ def to_grid_array(
     """Synthesize grid values from box coefficients (orthonormal basis), into
     `out` (complex, batch + grid shape) when given: u(x_j), or with `shifted`
     the shifted frame's values."""
-    if geometry.dft is not None:
-        coeffs = _dense(coeffs, geometry.dft[0], out)
-    else:
-        for axis in reversed(geometry.axes):
-            last = axis == geometry.axes[0]
-            coeffs = np.fft.ifft(coeffs, geometry.m_grid, axis, "forward", out if last else None)
+    for axis in reversed(geometry.axes):
+        last = axis == geometry.axes[0]
+        coeffs = np.fft.ifft(coeffs, geometry.m_grid, axis, "forward", out if last else None)
     return coeffs if shifted else np.multiply(coeffs, geometry.ramp, out=coeffs)
 
 
@@ -268,12 +209,13 @@ def from_grid_array(
     the complex `values` serves as scratch (else a copy of it does)."""
     values = values.astype(np.complex128) if out is None else values
     values = values if shifted else np.divide(values, geometry.ramp, out=values)
-    if geometry.dft is not None:
-        return _dense(values, geometry.dft[1], out)
     for axis in geometry.axes:
         keep = (Ellipsis, slice(2 * geometry.n_max + 1)) + (slice(None),) * (-1 - axis)
         values = np.fft.fft(values, axis=axis, out=values)[keep]
     return np.multiply(geometry.norm, values, out=out)
+
+
+_PLANE_SIZE = 14000  # the largest K M of a box with `plane_basis`
 
 
 def _plane_view(pair: np.ndarray) -> np.ndarray:

@@ -180,9 +180,10 @@ class TestCli:
         assert len(obj) == 3
 
     @pytest.mark.parametrize("d,n_cut,line", [
-        (1, 8, "d = 1, n_max = 8, m_grid = 70, oversampling = 4.11765, transform = dense"),
-        (1, 16, "d = 1, n_max = 16, m_grid = 132, oversampling = 4, transform = fft"),
-        (2, 3, "d = 2, n_max = 3, m_grid = 28, oversampling = 4, transform = fft"),
+        (1, 8, "d = 1, n_max = 8, m_grid = 70, oversampling = 4.11765, galerkin = planes"),
+        (1, 16, "d = 1, n_max = 16, m_grid = 132, oversampling = 4, galerkin = planes"),
+        (1, 29, "d = 1, n_max = 29, m_grid = 240, oversampling = 4.0678, galerkin = fft"),
+        (2, 3, "d = 2, n_max = 3, m_grid = 28, oversampling = 4, galerkin = fft"),
     ])
     def test_dry_run_names_the_grid(self, tmp_path, capsys, d, n_cut, line):
         params = {"d": d, "alpha": 2.5, "beta": 0.3, "gamma": 1.0, "n_cut": n_cut}

@@ -30,6 +30,7 @@ from gnls import spectral
 from gnls.dynamics import (
     Trajectory,
     _collocation_work,
+    _dense,
     _galerkin_work,
     galerkin_rhs_array,
     gauge_frequency,
@@ -212,8 +213,9 @@ def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
             values = np.exp(params.beta * geometry.scale**2 * np.abs(values) ** 2) * values
             conv = from_grid_array(geometry, values, shifted=True)
             return -2j * params.gamma * params.beta * (conv * mask)
-        v = spectral._dense(x, synthesis, None)
-        g = spectral._dense(v * np.exp(v[0] ** 2 + v[1] ** 2), analysis, None)
+        v = _dense(x, synthesis, np.empty((*x.shape[:-1], synthesis.shape[1])))
+        f = v * np.exp(v[0] ** 2 + v[1] ** 2)
+        g = _dense(f, analysis, np.empty((*f.shape[:-1], analysis.shape[1])))
         return np.stack([g[1], -g[0]])
 
     h, x = t / substeps, _plane_view(fold_planes(geometry, coeffs)).copy() if planes else coeffs
@@ -297,7 +299,7 @@ class TestBufferedGalerkin:
 class TestShiftedFrameKernels:
     # no mask in d = 1 at n_cut = n_max; a sharp cut below n_max, or in d = 2
     # the Euclidean corners of the box, otherwise.  The d = 1 boxes up to
-    # n_max 26 run on plane pairs: the smallest one, a lone row, n_max 16, and
+    # n_max 28 run on plane pairs: the smallest one, a lone row, n_max 16, and
     # at n_max = 10 a masked batch and 75 rows, whose 150 plane rows fill one
     # float64 item of 2^18 // (21 * 84) = 148 rows and a two-row tail; the
     # n_max 32 box, past the plane bound, runs the FFT
@@ -328,6 +330,22 @@ class TestShiftedFrameKernels:
         coeffs = geo.quad_weight() * direct_synthesis(geo, f, adjoint=True)
         want = -2j * p.gamma * p.beta * coeffs * mask
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_max", [8, 32])
+    def test_galerkin_rhs_into_a_strided_out(self, n_max):
+        # a plane box refuses an `out` whose float64 view would be a copy,
+        # which would keep the product; the FFT box writes through the strides
+        geo = TorusGeometry(d=1, n_max=n_max)
+        p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=n_max, geometry=geo)
+        shape = (3, *geo.box_shape)
+        a = 0.3 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
+        buf = np.full((6, *geo.box_shape), np.nan, np.complex128)
+        if geo.plane_basis is not None:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                galerkin_rhs_array(geo, fold_planes(geo, a), p, None, out=buf[::2])
+        else:
+            assert galerkin_rhs_array(geo, a, p, None, out=buf[::2]).base is buf
+            assert buf[::2].tobytes() == galerkin_rhs_array(geo, a, p, None).tobytes()
 
     @pytest.mark.parametrize("d, n_max", [(1, 0), (1, 8), (2, 3)])
     def test_potential_matches_direct_quadrature(self, d, n_max):

@@ -12,8 +12,8 @@ the artifacts themselves under `tests/golden/artifacts/<case>/`.
 both (all of them when none is named).  Byte identity is the pass rule.  A
 failing case names each moved artifact, with the largest change of a number
 in it relative to its column's scale, in the format that script prints, and
-shows both environments: the dense d = 1 bits depend on the kernel OpenBLAS picks at run
-time and every case on numpy's SIMD dispatch, so another CPU can move an
+shows both environments: the bits of the d = 1 plane flows depend on the kernel OpenBLAS
+picks at run time and every case on numpy's SIMD dispatch, so another CPU can move an
 artifact at rounding level with no defect.  A change that moves an artifact
 on purpose regenerates it and names the moved artifacts, their changes and
 the reason in CHANGES.md.

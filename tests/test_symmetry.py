@@ -26,10 +26,11 @@ from hypothesis import strategies as st
 
 from gnls import FlowConfig, ModelParams, TorusGeometry, evolve, evolve_ensemble
 
-# (d, n_max, n_cut): d = 1 dense boxes (K M <= 2048), whose Galerkin flow runs
-# on plane pairs, and FFT boxes past the plane bound (K M > 14,000), each with
-# and without a mask below the box; in d = 2 the Euclidean mask always cuts
-# the corners of the box, and cuts deeper below n_max
+# (d, n_max, n_cut): d = 1 boxes whose Galerkin flow runs on plane pairs (ids
+# `dense`, after their small K M) and boxes past the plane bound (K M >
+# 14,000), whose flow runs the FFT, each with and without a mask below the
+# box; in d = 2 the Euclidean mask always cuts the corners of the box, and
+# cuts deeper below n_max
 BOXES = {
     "d1-dense": (1, 4, 4),
     "d1-dense-masked": (1, 4, 2),
