@@ -21,17 +21,24 @@ quadratic/potential combination and visibly breaks the invariance harness.
   product with B, the right-hand side one with B^T (both with the mask and
   the constants folded in), R rotates each column.  beta |u|^2 is a square
   and an add below _SQUARE_ROWS rows, else one `einsum`, with the same bits
-  (us at M = 132 for 1, 4, 16, 64, 256, 1024 rows: 0.8, 1.0, 3.0, 8.5, 34,
-  303 against 2.0, 2.5, 3.9, 9.2, 30, 149).  `_dense` runs the two
-  products in stacked items of at most 2^18 multiply-adds, 2^18 // (K M)
-  plane rows (220 at N = 8, 60 at N = 16): OpenBLAS runs an item that small
-  on the calling thread, so it never starts BLAS threads beside the
-  ensemble's own, and it rounds a one-row product (a gemv) differently, so a
-  lone row is computed as two.  A row's bits then do not depend on its
-  batch, except in the analysis, (2n, M) @ B^T, which rounds a row by its
-  position (measured at N = 4 to 28, all but N = 10): in an ensemble a row's
-  bits may depend on its position in its fixed 1024-row chunk, never on the
-  thread count.
+  (README times both).  `_dense` runs the two products in stacked items of
+  at most 2^18 multiply-adds, 2^18 // (K M) plane rows (220 at N = 8, 60 at
+  N = 16): OpenBLAS runs an item that small on the calling thread, so it
+  never starts BLAS threads beside the ensemble's own, and it rounds a
+  one-row product (a gemv) differently, so a lone row is computed as two.
+  A row's bits then do not depend on its batch, except in the analysis,
+  (2n, M) @ B^T, which rounds a row by its position (measured at N = 4 to
+  28, all but N = 10): in an ensemble a row's bits may depend on its
+  position in its fixed 1024-row chunk, never on the thread count.
+
+A Galerkin flow keeps its work in one `_Galerkin` record, built once for a
+state shape and an RK4 step h: the two operators and their product (None
+without planes, where the grid is complex); the grid planes and their
+two-plane view; |u|^2 and, below _SQUARE_ROWS rows, the squares' buffer;
+the slopes, their sum and the stage, views of one buffer shaped like the
+state; the turned slopes (planes reversed) and the flat rows the `einsum`
+reads; the RK4 factors (h/2, h, h/6) times the turn's signs (1, -1), zipped
+into the stages.  A step of a lone row makes no view.
 
 Every flow has one step shape (`_flow_step`): consecutive Strang steps
 R(dt/2) N(dt) R(dt/2) merge their inner half phases, so the first step is
@@ -56,7 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .measures import ModelParams, kinetic_sum_array, mass_array, potential_array
-from .spectral import (TorusGeometry, _block_rows, _plane_view, dispersion_weights, fold_planes,
+from .spectral import (TorusGeometry, _block_rows, dispersion_weights, fold_planes,
                        from_grid_array, save_snapshot, sobolev_norm_array, to_grid_array,
                        unfold_planes)
 
@@ -65,6 +72,7 @@ SCHEMES = ("strang", "lie")
 MODES = ("galerkin", "collocation")
 _SQUARE_ROWS = 96  # see the module docstring
 _GEMM_SIZE = 1 << 18  # the most multiply-adds of one plane product item
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -148,7 +156,7 @@ def collocation_phase_array(
 def _dense(x: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
     """x @ matrix over the last axis of float64 operands, into the
     C-contiguous `out`, as stacked products of at most _GEMM_SIZE
-    multiply-adds each and never of one row."""
+    multiply-adds each and never of one row (np.dot's bits on one item)."""
     flat, dst = x.reshape(-1, len(matrix)), out.reshape(-1, matrix.shape[1])
     n, rows = len(flat), _GEMM_SIZE // matrix.size
     full = n - n % rows
@@ -162,122 +170,124 @@ def _dense(x: np.ndarray, matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _galerkin_work(geometry: TorusGeometry, shape: tuple, params: ModelParams, mask) -> tuple:
-    """Work of the Galerkin substep for states of `shape`: on a box with
-    `plane_basis` B the operators c P_N B and B^T kappa P_N (c = scale
-    sqrt(beta), kappa = 2 gamma sqrt(beta) / (scale M)), the grid planes, the
-    (2n, K) views of the box buffers by id (unique while `work` holds them)
-    and below _SQUARE_ROWS rows the squares' buffer, else None and the complex
-    grid; then |u|^2, the box buffers (k1..k4, their sum, the stage) and what
-    `_rk4` reads (views, operands, signs, weights, a memo)."""
-    batch, box = shape[: len(shape) - geometry.d], np.empty((6, *shape), np.complex128)
-    views, floats = tuple(box), box.view(np.float64).reshape(6, -1)
-    if geometry.plane_basis is None:
-        grid = batch + geometry.grid_shape
-        ops, grid, absq, operands, sign = None, np.empty(grid, complex), np.empty(grid), views, 1.0
-    else:
+class _Galerkin:
+    """The Galerkin substep's work for states of `shape` and RK4 steps of h,
+    made once per flow (the module docstring describes the fields)."""
+
+    def __init__(self, geometry: TorusGeometry, shape: tuple, params: ModelParams, mask,
+                 h: float = 0.0) -> None:
+        batch, plane = shape[: len(shape) - geometry.d], geometry.plane_basis is not None
+        box = np.empty((6, 2, *shape)) if plane else np.empty((6, *shape), np.complex128)
+        self.slopes, self.total, self.stage = tuple(box[:4]), box[4], box[5]
+        self.turns = tuple(k[::-1] if plane else k for k in box[:5])  # k -> (k1, k0)
+        flat = box.view(np.float64).reshape(6, -1)  # the rows the `einsum` reads
+        self.flat_slopes, self.flat_total = flat[:4], flat[4]
+        sign = np.array([1.0, -1.0]).reshape(2, *[1] * len(shape)) if plane else 1.0
+        self.h = h
+        half, full, self.sixth = np.multiply.outer((0.5 * h, h, h / 6.0), sign)
+        self.stages = tuple(zip((half, half, full), self.turns, self.slopes[1:]))  # to k2..k4
+        self.synthesis = self.analysis = self.product = self.planes = self.squares = None
+        if not plane:
+            self.grid = np.empty(batch + geometry.grid_shape, np.complex128)
+            self.absq = np.empty(self.grid.shape)
+            return
         (basis, transpose), root, m = geometry.plane_basis, math.sqrt(params.beta), geometry.m_grid
         cut = np.broadcast_to(1.0 if mask is None else mask, len(basis))
-        grid, absq = np.empty((2 * math.prod(batch), m)), np.empty(batch + (m,))
-        synthesis = (geometry.scale * root * cut)[:, None] * basis
-        analysis = transpose * (2.0 * params.gamma * root / (geometry.scale * m) * cut)
-        product = np.dot if grid.size * len(basis) <= _GEMM_SIZE else _dense  # matmul's bits
-        square = np.empty((2, *absq.shape)) if len(grid) < 2 * _SQUARE_ROWS else None
-        square = None if square is None else (square, *square)  # with its planes' views
-        flat = {id(k): k.view(np.float64).reshape(len(grid), -1) for k in views}
-        ops = (synthesis, analysis, grid.reshape(2, *absq.shape), product, flat, square)
-        planes = [k.view(np.float64).reshape(2, -1) for k in views]
-        operands, sign = [x[::-1] for x in planes[:5]] + planes[5:], np.array([[1.0], [-1.0]])
-    rk4 = (views, floats[:4], floats[4], operands, sign, np.array([1.0, 2.0, 2.0, 1.0]), [None] * 4)
-    return (ops, grid, absq, box, rk4)
+        self.grid, self.absq = np.empty((2 * math.prod(batch), m)), np.empty(batch + (m,))
+        self.planes = self.grid.reshape(2, *self.absq.shape)
+        self.synthesis = (geometry.scale * root * cut)[:, None] * basis
+        self.analysis = transpose * (2.0 * params.gamma * root / (geometry.scale * m) * cut)
+        self.product = np.dot if self.grid.size * len(basis) <= _GEMM_SIZE else _dense
+        if len(self.grid) < 2 * _SQUARE_ROWS:
+            self.squares = (squares := np.empty(self.planes.shape), *squares)  # with its planes
 
 
 def galerkin_rhs_array(
     geometry: TorusGeometry, coeffs: np.ndarray, params: ModelParams, mask: np.ndarray | None,
-    out: np.ndarray | None = None, work: tuple | None = None,
+    out: np.ndarray | None = None, work: _Galerkin | None = None,
 ) -> np.ndarray:
     """-2i gamma beta P_N[e^{beta |P_N u|^2} P_N u] (`mask` None: P_N = 1), into
-    `out` when given, in `work` (from `_galerkin_work`, held through the call;
-    its grid and |u|^2 are overwritten).  On a box with `plane_basis` the
-    state is a plane pair (`fold_planes`) and the result the pair G whose turn
+    `out` when given, in `work` (a `_Galerkin`; a call overwrites its grid and
+    |u|^2).  On a box with `plane_basis` the state is float64 planes
+    (`fold_planes`; else TypeError) and the result the planes G whose turn
     (G1, -G0) is the derivative: the 2n planes times c P_N B are the grid
     planes of sqrt(beta) u, which scaled by e^{beta |u|^2} and times
-    B^T kappa P_N give G; there an `out` must be C-contiguous (ValueError)."""
-    ops, grid, absq = (work := work or _galerkin_work(geometry, coeffs.shape, params, mask))[:3]
-    out = np.empty(coeffs.shape, np.complex128) if out is None else out
-    if ops is None:
+    B^T kappa P_N give G; a batch's `out` must be C-contiguous (ValueError)."""
+    if work is None:
+        if (plane := geometry.plane_basis is not None) and coeffs.dtype != np.float64:
+            raise TypeError("on a box with `plane_basis` the state is float64 planes (fold_planes)")
+        work = _Galerkin(geometry, coeffs.shape[1:] if plane else coeffs.shape, params, mask)
+    out = np.empty(coeffs.shape, complex if work.product is None else float) if out is None else out
+    if work.product is None:
         coeffs = coeffs if mask is None else np.multiply(coeffs, mask, out=out)
-        values = to_grid_array(geometry, coeffs, out=grid, shifted=True)
-        np.square(np.abs(values, out=absq), out=absq)
+        values = to_grid_array(geometry, coeffs, out=work.grid, shifted=True)
+        absq = np.square(np.abs(values, out=work.absq), out=work.absq)
         np.exp(np.multiply(params.beta * geometry.scale**2, absq, out=absq), out=absq)
         np.multiply(absq, values, out=values)
         conv = from_grid_array(geometry, values, out=out, shifted=True)
         conv = conv if mask is None else np.multiply(conv, mask, out=conv)
         return np.multiply(-2j * params.gamma * params.beta, conv, out=out)
-    synthesis, analysis, planes, product, flat, square = ops
-    if not out.flags.c_contiguous:  # its float64 view would be a copy
-        raise ValueError("a plane pair's `out` must be C-contiguous")
-    x = flat[id(coeffs)] if id(coeffs) in flat else coeffs.view(np.float64).reshape(len(grid), -1)
-    g = flat[id(out)] if id(out) in flat else out.view(np.float64).reshape(x.shape)
-    product(x, synthesis, grid)
-    if square is None:  # planes[0]**2 + planes[1]**2, as the square and add below
+    x, g = coeffs, out
+    if coeffs.ndim > 2:  # a batch: the products read (2n, K) rows
+        if not out.flags.c_contiguous:  # its rows would be a copy
+            raise ValueError("a plane pair's `out` must be C-contiguous")
+        x, g = coeffs.reshape(len(work.grid), -1), out.reshape(len(work.grid), -1)
+    grid, planes, absq, squares = work.grid, work.planes, work.absq, work.squares
+    work.product(x, work.synthesis, grid)
+    if squares is None:  # planes[0]**2 + planes[1]**2, as the square and add below
         np.einsum("i...,i...->...", planes, planes, out=absq)
     else:
-        np.square(planes, out=square[0])
-        np.add(square[1], square[2], out=absq)
+        np.square(planes, out=squares[0])
+        np.add(squares[1], squares[2], out=absq)
     np.multiply(planes, np.exp(absq, out=absq), out=planes)
-    product(grid, analysis, g)
+    work.product(grid, work.analysis, g)
     return out
 
 
-def _rk4(geometry: TorusGeometry, a: np.ndarray, t: float, params: ModelParams, substeps: int,
-         mask: np.ndarray | None, work: tuple) -> np.ndarray:
-    """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`, in
-    place on its state `a`; the slopes combine as float64 (a complex product
-    with a real factor would let a non-finite entry spoil another row), their
-    sum in one `einsum` with the bits of ((k1 + 2 k2) + 2 k3) + k4."""
-    views, slopes, total, (*turns, xs), sign, weights, memo = work[-1]
-    if memo[0] is not a:  # the memo holds `a` itself, so `is` cannot mistake a new state
-        memo[:2] = a, a if work[0] is None else a.view(np.float64).reshape(xs.shape)
-    if memo[2] != (h := t / substeps):
-        memo[2:] = h, np.multiply.outer((0.5 * h, h, h / 6.0), sign)
-    xa, (half, full, sixth) = memo[1], memo[3]
+def _rk4(geometry: TorusGeometry, a: np.ndarray, params: ModelParams, substeps: int,
+         mask: np.ndarray | None, work: _Galerkin) -> np.ndarray:
+    """Classical RK4 over `substeps` steps of `work`'s h, in place on the state
+    `a`; the slopes combine as float64 (a complex product with a real factor
+    would let a non-finite entry spoil another row), their sum in one
+    `einsum` with the bits of ((k1 + 2 k2) + 2 k3) + k4."""
+    k1, xs, turn = work.slopes[0], work.stage, work.turns[4]
     for _ in range(substeps):
-        galerkin_rhs_array(geometry, a, params, mask, views[0], work)
-        for c, x, k_next in zip((half, half, full), turns, views[1:4]):
-            np.add(xa, np.multiply(c, x, out=xs), out=xs)
-            galerkin_rhs_array(geometry, views[5], params, mask, k_next, work)
-        np.einsum("i,i...->...", weights, slopes, out=total)
-        np.add(xa, np.multiply(sixth, turns[4], out=xs), out=xa)
+        galerkin_rhs_array(geometry, a, params, mask, k1, work)
+        for c, x, k_next in work.stages:
+            np.add(a, np.multiply(c, x, out=xs), out=xs)
+            galerkin_rhs_array(geometry, xs, params, mask, k_next, work)
+        np.einsum("i,i...->...", _RK4_WEIGHTS, work.flat_slopes, out=work.flat_total)
+        np.add(a, np.multiply(work.sixth, turn, out=xs), out=a)
     return a
 
 
 def galerkin_substep_array(
     geometry: TorusGeometry, coeffs: np.ndarray, t: float, params: ModelParams,
-    substeps: int, mask: np.ndarray | None, work: tuple | None = None,
+    substeps: int, mask: np.ndarray | None, work: _Galerkin | None = None,
 ) -> np.ndarray:
     """Classical RK4 over `substeps` equal steps of `galerkin_rhs_array`, from
-    box coefficients to a fresh array of them, in `work` (from
-    `_galerkin_work`, overwritten); on a box with `plane_basis` it runs on
-    the plane pair and returns the modes outside `mask` as given."""
-    work = work or _galerkin_work(geometry, coeffs.shape, params, mask)
-    if work[0] is None:
-        return _rk4(geometry, np.array(coeffs, np.complex128), t, params, substeps, mask, work)
-    pair = _rk4(geometry, fold_planes(geometry, coeffs), t, params, substeps, mask, work)
-    return np.where(True if mask is None else mask, unfold_planes(geometry, pair), coeffs)
+    box coefficients to a fresh array of them, in `work` (a `_Galerkin` for
+    steps of t / substeps, else ValueError); on a box with `plane_basis` it
+    runs on the planes and returns the modes outside `mask` as given."""
+    work = work or _Galerkin(geometry, coeffs.shape, params, mask, t / substeps)
+    if work.h != t / substeps:
+        raise ValueError(f"`work` steps by {work.h:g}, not t / substeps = {t / substeps:g}")
+    if work.product is None:
+        return _rk4(geometry, np.array(coeffs, np.complex128), params, substeps, mask, work)
+    planes = _rk4(geometry, fold_planes(geometry, coeffs), params, substeps, mask, work)
+    return np.where(True if mask is None else mask, unfold_planes(geometry, planes), coeffs)
 
 
 def _flow_step(
     geometry: TorusGeometry, cfg: FlowConfig, mode: str, dt: float, coeffs: np.ndarray,
     gauge_shift: bool = False,
 ):
-    """(fold, step, view, close) for states shaped like `coeffs`, made once
-    after the pre-flight check that exp(beta |Pi_N u|^2) of `coeffs` is
-    finite.  `fold` makes a state of box coefficients (in Galerkin mode on a
-    box with `plane_basis` a plane pair, whose `view` is its planes, else a
-    copy, viewed with a length-one axis); `step(a, first)` applies R(dt/2),
-    later R(dt) (Lie: always R(dt)), then N(dt), in place where it can;
-    `close(a, out)` applies R(dt/2) in place (Lie: nothing) and unfolds."""
+    """(fold, step, close) for states shaped like `coeffs`, made once after
+    the pre-flight check that exp(beta |Pi_N u|^2) of `coeffs` is finite.
+    `fold` makes a state of box coefficients (in Galerkin mode on a box with
+    `plane_basis` their planes, else a copy); `step(a, first)` applies
+    R(dt/2), later R(dt) (Lie: always R(dt)), then N(dt), in place where it
+    can; `close(a, out)` applies R(dt/2) in place (Lie: nothing) and unfolds."""
     p = cfg.params
     mask = geometry.euclid_mask(p.n_cut)
     absq = geometry.scale**2 * np.abs(to_grid_array(geometry, coeffs * mask, shifted=True)) ** 2
@@ -288,39 +298,36 @@ def _flow_step(
     omega = dispersion_weights(geometry, p.alpha, cfg.dispersion_symbol)
     strang = cfg.scheme == "strang"
     half, full = (np.exp(-2j * tau * omega) for tau in (0.5 * dt, dt))
-    work = (_galerkin_work(geometry, coeffs.shape, p, mask) if mode == "galerkin"
-            else _collocation_work(geometry, coeffs.shape))
+    work = (_Galerkin(geometry, coeffs.shape, p, mask, dt / cfg.nonlinear_substeps)
+            if mode == "galerkin" else _collocation_work(geometry, coeffs.shape))
     if mode == "collocation" or geometry.plane_basis is None:
-        fold, view, unfold = (lambda a: np.array(a, np.complex128)), (lambda a: a[None]), None
+        fold, unfold = (lambda a: np.array(a, np.complex128)), None
         rotate = advance = lambda a, phase=full: np.multiply(a, phase, out=a)
     else:
-        fold, view, unfold = functools.partial(fold_planes, geometry), _plane_view, unfold_planes
+        fold, unfold = functools.partial(fold_planes, geometry), unfold_planes
         # (c + i s)(X0 + i X1) = (c X0 - s X1) + i (s X0 + c X1) per column, in place
-        rows = np.broadcast_to(full, coeffs.shape).reshape(-1)  # R(dt) laid out: half the cost
-        cos, turn = rows.real.copy(), np.multiply.outer([-1.0, 1.0], rows.imag)
-        (y, z), memo = (x[::-1] for x in work[-1][3][:2]), work[-1][-1]
+        rows = np.broadcast_to(full, coeffs.shape)  # R(dt) laid out: half the cost
+        cos, turn = rows.real.copy(), np.multiply.outer([1.0, -1.0], rows.imag)
 
         def rotate(a: np.ndarray, phase: np.ndarray) -> np.ndarray:
-            x, sin = _plane_view(a), np.multiply.outer([-1.0, 1.0], phase.imag)
-            np.add(x * phase.real, x[::-1] * sin.reshape(2, *[1] * (a.ndim - 1), -1), out=x)
-            return a
+            sin = np.multiply.outer([-1.0, 1.0], phase.imag).reshape(2, *[1] * (a.ndim - 2), -1)
+            return np.add(a * phase.real, a[::-1] * sin, out=a)
 
-        def advance(a: np.ndarray) -> np.ndarray:  # the state's view once `_rk4` has seen it
-            x = memo[1] if memo[0] is a else a.view(np.float64).reshape(y.shape)
-            np.add(np.multiply(x, cos, out=y), np.multiply(x[::-1], turn, out=z), out=x)
-            return a
+        def advance(a: np.ndarray) -> np.ndarray:  # in k1, k2 = (-s X1, s X0), written turned
+            np.multiply(a, turn, out=work.turns[1])
+            return np.add(np.multiply(a, cos, out=work.slopes[0]), work.slopes[1], out=a)
 
     def step(a: np.ndarray, first: bool) -> np.ndarray:
         a = rotate(a, half if strang else full) if first else advance(a)
         if mode == "collocation":
             return collocation_phase_array(geometry, a, dt, p, gauge_shift, work)
-        return _rk4(geometry, a, dt, p, cfg.nonlinear_substeps, mask, work)
+        return _rk4(geometry, a, p, cfg.nonlinear_substeps, mask, work)
 
     def close(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         a = rotate(a, half) if strang else a
         return a if unfold is None else unfold(geometry, a, out)
 
-    return fold, step, view, close
+    return fold, step, close
 
 
 # ---------------------------------------------------------------------------
@@ -357,20 +364,21 @@ def evolve(
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     coeffs = np.array(u0, np.complex128)
-    fold, step, view, close = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
+    fold, step, close = _flow_step(geometry, cfg, mode, dt, coeffs, gauge_shift)
     state = fold(coeffs)
     times = np.arange(n_steps + 1) * dt + 0.0  # + 0.0: a backward run starts at +0.0 too
     snaps = np.empty((-(-n_steps // cfg.store_every) + 1, *coeffs.shape), np.complex128)
     stored = []
     # blocks of unclosed states with at most _BLOCK_BYTES of grid are closed and stored at once
     rows = _block_rows(16 * math.prod(geometry.grid_shape))
-    block = np.zeros((min(rows, n_steps + 1), *coeffs.shape), np.complex128)
-    closed, stack = np.empty_like(block), view(block)
+    size = (min(rows, n_steps + 1), *coeffs.shape)  # a block of planes is planes (2, *size)
+    block = np.zeros((2, *size)) if state.ndim > coeffs.ndim else np.zeros(size, np.complex128)
+    closed, stack = np.empty(size, np.complex128), block.reshape(-1, *size)  # (2 or 1, *size)
     diags = {}
     for k in range(n_steps + 1):
         if k:
             state = step(state, k == 1)
-        stack[:, k % rows] = view(state)
+        stack[:, k % rows] = state
         if k % rows == rows - 1 or k == n_steps:
             start = k - k % rows
             states = close(block, closed)[: k - start + 1]
@@ -398,7 +406,7 @@ def evolve_ensemble(
     dt = cfg.dt if cfg.t_final >= 0 else -cfg.dt
     n_steps = int(round(abs(cfg.t_final) / cfg.dt))
     a = np.array(coeffs, dtype=np.complex128)
-    fold, step, view, close = _flow_step(geometry, cfg, mode, dt, a)
+    fold, step, close = _flow_step(geometry, cfg, mode, dt, a)
     state = fold(a)
     for k in range(n_steps):
         state = step(state, k == 0)
@@ -434,7 +442,7 @@ def liouville_check(
         raise ValueError(f"phase-space dimension {dim} exceeds the cap of 20")
     cfg = FlowConfig(params, dt, dt, nonlinear_substeps=substeps, dispersion_symbol=symbol)
     base = np.array(probe, np.complex128).ravel()
-    fold, macro_step, view, close = _flow_step(geometry, cfg, "galerkin", dt, probe)
+    fold, macro_step, close = _flow_step(geometry, cfg, "galerkin", dt, probe)
 
     def step(x: np.ndarray) -> np.ndarray:
         a = base.copy()

@@ -26,9 +26,9 @@ in it.  A d = 1 box with K M <= 14,000 (K = 2N+1 modes, M = m_grid points;
 N <= 28 at the default oversampling, and the 1024-row right-hand sides tie
 at N = 30) also has `plane_basis`, the real K x M basis B = (1, sqrt2 cos
 mx, sqrt2 sin mx) of the true frame, which serves only the Galerkin flow
-(`dynamics`): a plane pair (`fold_planes`) holds a state as float64 planes
-X0, X1 with u = scale (X0 + i X1) B, so that the flow synthesizes and
-analyses with one real product each.
+(`dynamics`): `fold_planes` makes a state's plane pair, one float64 array
+(2, *shape) of the planes X0, X1 with u = scale (X0 + i X1) B, so that the
+flow synthesizes and analyses with one real product each.
 """
 
 from __future__ import annotations
@@ -218,11 +218,6 @@ def from_grid_array(
 _PLANE_SIZE = 14000  # the largest K M of a box with `plane_basis`
 
 
-def _plane_view(pair: np.ndarray) -> np.ndarray:
-    """The float64 planes (2, *pair.shape) of a C-contiguous complex128 pair."""
-    return pair.view(np.float64).reshape(2, *pair.shape)
-
-
 def _fold_weights(geometry: TorusGeometry) -> list[np.ndarray]:
     """(w, w') with X0 + i X1 = w a + w' a_reversed (`fold_planes`)."""
     n, s = geometry.modes, math.sqrt(0.5)
@@ -230,24 +225,21 @@ def _fold_weights(geometry: TorusGeometry) -> list[np.ndarray]:
 
 
 def fold_planes(geometry: TorusGeometry, coeffs: np.ndarray) -> np.ndarray:
-    """The plane pair of box coefficients a on a box with `plane_basis` B: a
-    fresh complex128 array of a's shape whose `_plane_view` holds the planes
-    X0, X1 with u = scale (X0 + i X1) B.  X0 + i X1 is a_0 at mode 0,
-    (a_m + a_-m)/sqrt2 at m > 0 and i (a_m - a_-m)/sqrt2 at -m: a unitary
-    map, so sum |a_n|^2 = |X0|^2 + |X1|^2."""
+    """The plane pair of box coefficients a on a box with `plane_basis` B:
+    fresh float64 planes (X0, X1), shaped (2, *a.shape), with u = scale
+    (X0 + i X1) B.  X0 + i X1 is a_0 at mode 0, (a_m + a_-m)/sqrt2 at m > 0
+    and i (a_m - a_-m)/sqrt2 at -m: unitary, so sum |a_n|^2 = |X0|^2 + |X1|^2."""
     w, w_rev = _fold_weights(geometry)
     z = w * coeffs + w_rev * coeffs[..., ::-1]
-    pair = np.empty(z.shape, np.complex128)
-    np.stack([z.real, z.imag], out=_plane_view(pair))
-    return pair
+    return np.stack([z.real, z.imag])
 
 
-def unfold_planes(geometry: TorusGeometry, pair: np.ndarray, out=None) -> np.ndarray:
-    """The box coefficients of a `fold_planes` pair, by the adjoint map, into
-    `out` (complex128 of the pair's shape, not the pair) when given."""
+def unfold_planes(geometry: TorusGeometry, planes: np.ndarray, out=None) -> np.ndarray:
+    """The box coefficients of `fold_planes` planes (2, *shape), by the
+    adjoint map, into `out` (complex128 of the shape) when given."""
     w, w_rev = _fold_weights(geometry)
-    z = np.empty(pair.shape, np.complex128) if out is None else out
-    z.real, z.imag = _plane_view(pair)  # the reversed product first, then z's own in place
+    z = np.empty(planes.shape[1:], np.complex128) if out is None else out
+    z.real, z.imag = planes  # the reversed product first, then z's own in place
     return np.add(np.conj(w_rev[::-1]) * z[..., ::-1], np.multiply(np.conj(w), z, out=z), out=z)
 
 

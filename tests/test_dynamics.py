@@ -26,17 +26,17 @@ from gnls import (
     to_grid_array,
     truncation_convergence,
 )
-from gnls import spectral
+from gnls import dynamics, spectral
 from gnls.dynamics import (
     Trajectory,
     _collocation_work,
     _dense,
-    _galerkin_work,
+    _Galerkin,
     galerkin_rhs_array,
     gauge_frequency,
     trajectory_to_csv,
 )
-from gnls.spectral import TWO_PI, _plane_view, fold_planes, unfold_planes
+from gnls.spectral import TWO_PI, fold_planes, unfold_planes
 
 from conftest import direct_synthesis, from_modes, random_field, smooth_field
 
@@ -185,13 +185,6 @@ class TestPublicGalerkinSubstep:
         assert np.array_equal(got[..., ~mask], a[..., ~mask])
 
 
-def unfold_plane_array(geometry, planes):
-    """The box coefficients of float64 planes (2, *shape)."""
-    pair = np.empty(planes.shape[1:], np.complex128)
-    _plane_view(pair)[...] = planes
-    return unfold_planes(geometry, pair)
-
-
 def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
     """The Galerkin substep written with a fresh array per operation, in the
     operation order `galerkin_substep_array` must keep bit for bit: on a box
@@ -218,14 +211,14 @@ def allocating_galerkin(geometry, coeffs, t, params, substeps, mask):
         g = _dense(f, analysis, np.empty((*f.shape[:-1], analysis.shape[1])))
         return np.stack([g[1], -g[0]])
 
-    h, x = t / substeps, _plane_view(fold_planes(geometry, coeffs)).copy() if planes else coeffs
+    h, x = t / substeps, fold_planes(geometry, coeffs) if planes else coeffs
     for _ in range(substeps):
         k1 = rhs(x)
         k2 = rhs(x + 0.5 * h * k1)
         k3 = rhs(x + 0.5 * h * k2)
         k4 = rhs(x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return np.where(mask, unfold_plane_array(geometry, x), coeffs) if planes else x
+    return np.where(mask, unfold_planes(geometry, x), coeffs) if planes else x
 
 
 def allocating_collocation(geometry, coeffs, t, params, gauge_shift):
@@ -273,14 +266,19 @@ class TestBufferedGalerkin:
                 for _ in range(2))
         fresh = galerkin_substep_array(geo, u, 0.2, p, 2, mask)
         assert fresh.tobytes() == allocating_galerkin(geo, u, 0.2, p, 2, mask).tobytes()
-        work = _galerkin_work(geo, shape, p, mask)
-        for w in work[1:-1]:  # the buffers; the last entry holds views of the slopes
+        work = _Galerkin(geo, shape, p, mask, 0.1)  # steps of 0.2 / 2
+        # every buffer; the other arrays of the record are views of these
+        assert (work.squares is None) == (d == 2)  # the planes' squares on every plane box
+        squares = () if work.squares is None else work.squares[:1]
+        for w in (work.grid, work.absq, *squares, *work.slopes, work.total, work.stage):
             w[...] = np.nan  # stale contents must never leak into a result
         first = galerkin_substep_array(geo, v, 0.2, p, 2, mask, work)
         again = galerkin_substep_array(geo, u, 0.2, p, 2, mask, work)
         assert again.tobytes() == fresh.tobytes()
         # the second call left the first result alone
         assert first.tobytes() == galerkin_substep_array(geo, v, 0.2, p, 2, mask).tobytes()
+        with pytest.raises(ValueError, match="t / substeps"):  # the record fixes h
+            galerkin_substep_array(geo, v, 0.2, p, 4, mask, work)
 
     def test_preflight_refuses_an_overflowing_start(self):
         # |u|^2 = 800 everywhere: e^{beta |u|^2} is not a float64 at beta = 1
@@ -321,8 +319,7 @@ class TestShiftedFrameKernels:
         state = fold_planes(geo, a) if planes else a
         got = galerkin_rhs_array(geo, state, p, None if mask.all() else mask)
         if planes:  # the derivative is the symplectic turn (G1, -G0) of G
-            g = _plane_view(got)
-            got = unfold_plane_array(geo, np.stack([g[1], -g[0]]))
+            got = unfold_planes(geo, np.stack([got[1], -got[0]]))
         # -2i gamma beta P_N[e^{beta |u|^2} u], u = P_N a sampled by the direct sum
         # and analysed by the direct quadrature
         u = direct_synthesis(geo, a * mask)
@@ -333,19 +330,47 @@ class TestShiftedFrameKernels:
 
     @pytest.mark.parametrize("n_max", [8, 32])
     def test_galerkin_rhs_into_a_strided_out(self, n_max):
-        # a plane box refuses an `out` whose float64 view would be a copy,
+        # a plane box refuses an `out` whose plane rows would be a copy,
         # which would keep the product; the FFT box writes through the strides
         geo = TorusGeometry(d=1, n_max=n_max)
         p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=n_max, geometry=geo)
         shape = (3, *geo.box_shape)
         a = 0.3 * (GEN.standard_normal(shape) + 1j * GEN.standard_normal(shape))
-        buf = np.full((6, *geo.box_shape), np.nan, np.complex128)
         if geo.plane_basis is not None:
+            planes = np.full((2, 6, *geo.box_shape), np.nan)
             with pytest.raises(ValueError, match="C-contiguous"):
-                galerkin_rhs_array(geo, fold_planes(geo, a), p, None, out=buf[::2])
+                galerkin_rhs_array(geo, fold_planes(geo, a), p, None, out=planes[:, ::2])
         else:
+            buf = np.full((6, *geo.box_shape), np.nan, np.complex128)
             assert galerkin_rhs_array(geo, a, p, None, out=buf[::2]).base is buf
             assert buf[::2].tobytes() == galerkin_rhs_array(geo, a, p, None).tobytes()
+
+    def test_galerkin_rhs_refuses_box_coefficients_on_a_plane_box(self):
+        # a plane box's state is float64 planes; complex coefficients read as
+        # planes would give wrong numbers without a word
+        geo = TorusGeometry(d=1, n_max=8)
+        p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=8, geometry=geo)
+        a = 0.3 * (GEN.standard_normal((3, 17)) + 1j * GEN.standard_normal((3, 17)))
+        with pytest.raises(TypeError, match="float64 planes"):
+            galerkin_rhs_array(geo, a, p, None)
+
+    @pytest.mark.parametrize("n_max", [8, 32])
+    def test_ensemble_calls_the_module_rhs_per_stage(self, n_max, monkeypatch):
+        # the RK4 stages go through the module-level `galerkin_rhs_array`,
+        # four per substep, on a plane box and on an FFT box
+        geo = TorusGeometry(d=1, n_max=n_max)
+        assert (geo.plane_basis is not None) == (n_max == 8)
+        p = ModelParams(d=1, alpha=2.0, beta=0.5, gamma=1.0, n_cut=n_max, geometry=geo)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return galerkin_rhs_array(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "galerkin_rhs_array", counted)
+        a = random_field(geo, GEN, decay=1.5, scale=0.3)
+        evolve_ensemble(geo, np.stack([a, 0.5 * a]), make_cfg(p, 1e-2, 0.05, nonlinear_substeps=3))
+        assert len(calls) == 4 * 3 * 5
 
     @pytest.mark.parametrize("d, n_max", [(1, 0), (1, 8), (2, 3)])
     def test_potential_matches_direct_quadrature(self, d, n_max):
